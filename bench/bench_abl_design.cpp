@@ -146,10 +146,9 @@ void ablation_kernel_variant(bench::BenchContext& ctx) {
   for (unsigned target : targets) {
     BenchContext::MeasureOpts mo;
     mo.model_bytes = bytes;
-    const auto tb = ctx.measure(
-        bench::sub("kernel.blocked.t", target),
-        [&] { sv::apply_matrix1(state.data(), n, target, u, state.pool()); },
-        mo);
+    const qc::Gate g = qc::Gate::unitary({target}, u);
+    const auto tb = ctx.measure(bench::sub("kernel.blocked.t", target),
+                                [&] { sv::apply_gate(state, g); }, mo);
     const auto tp = ctx.measure(
         bench::sub("kernel.pairwise.t", target),
         [&] {

@@ -102,11 +102,14 @@ def check_result(i, rec):
             if not isinstance(cache.get(key), types):
                 fail(f"{where}: cache.{key} must be {types.__name__}")
         parts = cache["key"].split(".")
-        if (len(parts) != 3
-                or [p[0] for p in parts] != ["c", "m", "o"]
-                or any(len(p) != 17 for p in parts)):
+        if (len(parts) != 4
+                or [p[0] for p in parts[:3]] != ["c", "m", "o"]
+                or any(len(p) != 17 for p in parts[:3])
+                or parts[3] not in ("s", "t")
+                or ("mode" in rec
+                    and (parts[3] == "s") != (rec["mode"] == "sampled"))):
             fail(f"{where}: cache.key {cache['key']!r} is not "
-                 f"c<16hex>.m<16hex>.o<16hex>")
+                 f"c<16hex>.m<16hex>.o<16hex>.<s|t> matching the mode")
 
 
 def check_summary_svc(summary, jobs):

@@ -145,8 +145,7 @@ void observe_plan_execution(obs::MetricsRegistry& registry,
 namespace {
 
 /// Pre-casts `count` block-local gates for precision T, validating block
-/// locality. Shared by the single-state sweep and the batch executor (which
-/// prepares once per sweep for the whole batch).
+/// locality and counting one SIMD dispatch per gate.
 template <typename T>
 std::vector<PreparedGate<T>> prepare_sweep(const Gate* gates,
                                            std::size_t count,
@@ -164,33 +163,15 @@ std::vector<PreparedGate<T>> prepare_sweep(const Gate* gates,
   return prepared;
 }
 
-/// The block loop of one sweep over one state, gates already prepared.
+/// One sweep over every state of a batch: the gates are prepared once, each
+/// state takes one blocked traversal (each worker a contiguous range of
+/// aligned blocks), and one sweep observation and tracer span cover the
+/// batch.
 template <typename T>
-void run_sweep_prepared(StateVector<T>& state, const PreparedGate<T>* pgs,
-                        std::size_t count, unsigned block_qubits) {
-  std::complex<T>* psi = state.data();
-  const unsigned b = block_qubits;
-  const std::uint64_t num_blocks = pow2(state.num_qubits() - b);
-  // serial_cutoff=2: blocks are large, so even two of them are worth
-  // forking; the static partition mirrors the first-touch layout.
-  state.pool().parallel_for(
-      num_blocks,
-      [psi, pgs, count, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
-        for (std::uint64_t blk = lo; blk < hi; ++blk) {
-          std::complex<T>* block = psi + (blk << b);
-          for (std::size_t g = 0; g < count; ++g)
-            apply_gate_in_block(block, b, pgs[g]);
-        }
-      },
-      /*serial_cutoff=*/2);
-}
-
-}  // namespace
-
-template <typename T>
-void run_sweep(StateVector<T>& state, const Gate* gates, std::size_t count,
-               unsigned block_qubits, const ExecutionContext& ctx) {
-  const unsigned n = state.num_qubits();
+void sweep_batch(StateVector<T>* const* states, std::size_t batch,
+                 const Gate* gates, std::size_t count, unsigned block_qubits,
+                 const ExecutionContext& ctx) {
+  const unsigned n = states[0]->num_qubits();
   require(block_qubits >= 1 && block_qubits <= n,
           "run_sweep: block_qubits out of range");
   if (count == 0) return;
@@ -202,39 +183,102 @@ void run_sweep(StateVector<T>& state, const Gate* gates, std::size_t count,
   const bool tracing = tracer.enabled();
   const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
 
-  run_sweep_prepared(state, prepared.data(), count, block_qubits);
+  const PreparedGate<T>* pgs = prepared.data();
+  const unsigned b = block_qubits;
+  for (std::size_t i = 0; i < batch; ++i) {
+    std::complex<T>* psi = states[i]->data();
+    // serial_cutoff=2: blocks are large, so even two of them are worth
+    // forking; the static partition mirrors the first-touch layout.
+    states[i]->pool().parallel_for(
+        pow2(n - b),
+        [psi, pgs, count, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t blk = lo; blk < hi; ++blk) {
+            std::complex<T>* block = psi + (blk << b);
+            for (std::size_t g = 0; g < count; ++g)
+              apply_gate_in_block(block, b, pgs[g]);
+          }
+        },
+        /*serial_cutoff=*/2);
+  }
 
-  // One read + one write of the state serves the whole sweep (in-block
+  // One read + one write of each state serves the whole sweep (in-block
   // traffic stays in cache); this is the bytes label the drift report and
   // trace viewers see for the sweep span.
-  const std::uint64_t traversal_bytes =
-      2 * pow2(n) * std::uint64_t{2 * sizeof(T)};
-  observe_sweep(ctx.metrics(), count, traversal_bytes);
+  const std::uint64_t bytes =
+      2 * pow2(n) * std::uint64_t{2 * sizeof(T)} * batch;
+  observe_sweep(ctx.metrics(), count * batch, bytes);
   if (tracing) {
     tracer.record_span("sweep", obs::SpanCategory::Kernel, nullptr, 0,
-                       /*stride=*/pow2(block_qubits), traversal_bytes,
-                       start_ns);
+                       /*stride=*/pow2(block_qubits), bytes, start_ns);
   }
+}
+
+/// prepare_gate plus the preconditions of the whole-state path.
+template <typename T>
+PreparedGate<T> prepare_whole_state(const Gate& g, unsigned n) {
+  for (unsigned q : g.qubits)
+    require(q < n, "apply_gate: qubit out of range");
+  require(g.kind != GateKind::MEASURE && g.kind != GateKind::RESET,
+          "apply_gate: MEASURE/RESET need a Simulator (they are stochastic)");
+  return prepare_gate<T>(g);
+}
+
+}  // namespace
+
+template <typename T>
+void apply_gate(StateVector<T>& state, const Gate& g) {
+  apply_prepared(state.data(), state.num_qubits(),
+                 prepare_whole_state<T>(g, state.num_qubits()), state.pool());
+}
+
+template <typename T>
+void run_sweep(StateVector<T>& state, const Gate* gates, std::size_t count,
+               unsigned block_qubits, const ExecutionContext& ctx) {
+  StateVector<T>* const s = &state;
+  sweep_batch(&s, 1, gates, count, block_qubits, ctx);
 }
 
 template <typename T>
 EngineStats run_plan(StateVector<T>& state, const ExecutionPlan& plan,
                      const PlanHooks<T>& hooks, const ExecutionContext& ctx) {
-  const unsigned n = state.num_qubits();
-  require(n == plan.num_qubits, "run_plan: state/plan width mismatch");
+  return run_plan_batch({&state}, plan, hooks, ctx);
+}
 
+template <typename T>
+EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
+                           const ExecutionPlan& plan,
+                           const PlanHooks<T>& hooks,
+                           const ExecutionContext& ctx) {
   EngineStats stats;
+  if (states.empty()) return stats;
+  const unsigned n = plan.num_qubits;
+  for (const StateVector<T>* s : states) {
+    require(s != nullptr, "run_plan: null state in batch");
+    require(s->num_qubits() == n, "run_plan: state/plan width mismatch");
+  }
+  require(!hooks.after_gate ||
+              std::none_of(plan.phases.begin(), plan.phases.end(),
+                           [](const PlanPhase& p) {
+                             return p.kind == PhaseKind::LocalSweep;
+                           }),
+          "run_plan: after_gate hooks (noise) need a plan without "
+          "LocalSweep phases; compile it with blocking off");
+  const std::size_t batch = states.size();
+  StateVector<T>& first = *states.front();
+
   obs::Tracer& tracer = ctx.tracer();
   const bool tracing = tracer.enabled();
 
-  // Plan-phase profiling: one relaxed load when idle; when a profiler is
-  // installed (or the context pins one), each phase is bracketed with clock
-  // reads, a bytes delta, a tracer-drop delta (ring overflow => partial
-  // report), and — on request — a perf_event counter scope. Cost-only
-  // phases still get a (near-zero) sample so sample i always describes
-  // plan.phases[i].
-  obs::Profiler* const prof = ctx.profiler();
-  if (PlanCaptureScope* capture = PlanCaptureScope::current())
+  // Plan-phase profiling and plan capture describe one state's traversal,
+  // so they are single-state only. Profiling costs one relaxed load when
+  // idle; when a profiler is installed (or the context pins one), each
+  // phase is bracketed with clock reads, a bytes delta, a tracer-drop delta
+  // (ring overflow => partial report), and — on request — a perf_event
+  // counter scope. Cost-only phases still get a (near-zero) sample so
+  // sample i always describes plan.phases[i].
+  obs::Profiler* const prof = batch == 1 ? ctx.profiler() : nullptr;
+  if (PlanCaptureScope* capture = PlanCaptureScope::current();
+      capture != nullptr && batch == 1)
     capture->add(plan);
   std::uint64_t run_start = 0;
   std::uint64_t run_drops_before = 0;
@@ -244,7 +288,7 @@ EngineStats run_plan(StateVector<T>& state, const ExecutionPlan& plan,
     meta.node_qubits = plan.node_qubits;
     meta.local_qubits = plan.local_qubits;
     meta.block_qubits = plan.block_qubits;
-    meta.threads = state.pool().num_threads();
+    meta.threads = first.pool().num_threads();
     meta.phases_planned = plan.phases.size();
     run_start = prof->now_ns();
     meta.start_ns = run_start;
@@ -263,150 +307,29 @@ EngineStats run_plan(StateVector<T>& state, const ExecutionPlan& plan,
     if (prof != nullptr && prof->hw_counters()) hw.emplace();
     switch (phase.kind) {
       case PhaseKind::LocalSweep: {
-        run_sweep(state, phase.gates.data(), phase.gates.size(),
-                  plan.block_qubits, ctx);
-        ++stats.sweeps;
-        ++stats.traversals;
-        stats.blocked_gates += phase.gates.size();
-        stats.bytes_streamed += 2 * pow2(n) * std::uint64_t{2 * sizeof(T)};
-        break;
-      }
-      case PhaseKind::DenseGate: {
-        for (const auto& g : phase.gates) {
-          const std::uint64_t gate_bytes = approx_streamed_bytes<T>(g, n);
-          const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
-          apply_gate(state, g);
-          if (hooks.after_gate) hooks.after_gate(state, g);
-          if (tracing) {
-            tracer.record_span(g.name(), obs::SpanCategory::Kernel,
-                               g.qubits.data(), g.qubits.size(),
-                               pair_stride(g), gate_bytes, start_ns);
-          }
-          stats.bytes_streamed += gate_bytes;
-          if (g.kind != GateKind::I && g.kind != GateKind::BARRIER) {
-            ++stats.passthrough_gates;
-            ++stats.traversals;
-          }
-        }
-        break;
-      }
-      case PhaseKind::Exchange: {
-        if (!phase.moves_data) break;  // cost-only window marker
-        for (const auto& h : phase.hops) {
-          const Gate swap_gate = Gate::swap(h.local_slot, h.node_slot);
-          const std::uint64_t swap_bytes =
-              approx_streamed_bytes<T>(swap_gate, n);
-          const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
-          apply_gate(state, swap_gate);
-          if (tracing) {
-            tracer.record_span("exchange", obs::SpanCategory::Collective,
-                               swap_gate.qubits.data(), 2,
-                               pair_stride(swap_gate), swap_bytes, start_ns);
-          }
-          ++stats.exchanges;
-          stats.bytes_streamed += swap_bytes;
-        }
-        break;
-      }
-      case PhaseKind::MeasureFlush: {
-        require(static_cast<bool>(hooks.measure),
-                "run_plan: MEASURE/RESET need a Simulator (no measure hook)");
-        for (const auto& g : phase.gates) {
-          const std::uint64_t gate_bytes = approx_streamed_bytes<T>(g, n);
-          const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
-          hooks.measure(state, g);
-          if (tracing) {
-            tracer.record_span(g.name(), obs::SpanCategory::Measure,
-                               g.qubits.data(), g.qubits.size(),
-                               pair_stride(g), gate_bytes, start_ns);
-          }
-          ++stats.measure_ops;
-          ++stats.traversals;
-          stats.bytes_streamed += gate_bytes;
-        }
-        break;
-      }
-    }
-    if (prof != nullptr) {
-      obs::PhaseSample sample;
-      sample.index = static_cast<std::uint32_t>(phase_index);
-      sample.kind = static_cast<std::uint8_t>(phase.kind);
-      sample.gates = static_cast<std::uint32_t>(phase.gates.size());
-      sample.hops = static_cast<std::uint32_t>(phase.hops.size());
-      sample.threads = state.pool().num_threads();
-      sample.bytes = stats.bytes_streamed - bytes_before;
-      sample.start_ns = phase_start;
-      sample.duration_ns = prof->now_ns() - phase_start;
-      sample.dropped_spans = tracer.dropped() - drops_before;
-      if (hw.has_value()) sample.hw = hw->stop();
-      prof->record_phase(std::move(sample));
-    }
-  }
-
-  if (prof != nullptr)
-    prof->end_run(prof->now_ns() - run_start,
-                  tracer.dropped() > run_drops_before);
-
-  observe_plan_execution(ctx.metrics(), stats, plan.phases.size(),
-                         /*executions=*/1);
-  return stats;
-}
-
-template <typename T>
-EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
-                           const ExecutionPlan& plan,
-                           const BatchHooks<T>& hooks,
-                           const ExecutionContext& ctx) {
-  EngineStats stats;
-  if (states.empty()) return stats;
-  const unsigned n = plan.num_qubits;
-  for (const StateVector<T>* s : states) {
-    require(s != nullptr, "run_plan_batch: null state in batch");
-    require(s->num_qubits() == n,
-            "run_plan_batch: state/plan width mismatch");
-  }
-  const std::size_t batch = states.size();
-  const std::uint64_t state_bytes = 2 * pow2(n) * std::uint64_t{2 * sizeof(T)};
-
-  obs::Tracer& tracer = ctx.tracer();
-  const bool tracing = tracer.enabled();
-
-  for (const PlanPhase& phase : plan.phases) {
-    switch (phase.kind) {
-      case PhaseKind::LocalSweep: {
-        // The batch payoff: one preparation (coefficient casts, kernel
-        // resolution, block-locality checks) serves every trajectory.
-        const std::vector<PreparedGate<T>> prepared =
-            prepare_sweep<T>(phase.gates.data(), phase.gates.size(),
-                             plan.block_qubits, ctx.metrics());
-        const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
-        for (StateVector<T>* s : states)
-          run_sweep_prepared(*s, prepared.data(), prepared.size(),
-                             plan.block_qubits);
-        observe_sweep(ctx.metrics(), phase.gates.size() * batch,
-                      state_bytes * batch);
-        if (tracing)
-          tracer.record_span("sweep", obs::SpanCategory::Kernel, nullptr, 0,
-                             pow2(plan.block_qubits), state_bytes * batch,
-                             start_ns);
+        sweep_batch(states.data(), batch, phase.gates.data(),
+                    phase.gates.size(), plan.block_qubits, ctx);
         stats.sweeps += batch;
         stats.traversals += batch;
         stats.blocked_gates += phase.gates.size() * batch;
-        stats.bytes_streamed += state_bytes * batch;
+        stats.bytes_streamed +=
+            2 * pow2(n) * std::uint64_t{2 * sizeof(T)} * batch;
         break;
       }
       case PhaseKind::DenseGate: {
         for (const auto& g : phase.gates) {
           const std::uint64_t gate_bytes = approx_streamed_bytes<T>(g, n);
           const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
+          const PreparedGate<T> pg = prepare_whole_state<T>(g, n);
           for (std::size_t i = 0; i < batch; ++i) {
-            apply_gate(*states[i], g);
+            apply_prepared(states[i]->data(), n, pg, states[i]->pool());
             if (hooks.after_gate) hooks.after_gate(i, *states[i], g);
           }
-          if (tracing)
+          if (tracing) {
             tracer.record_span(g.name(), obs::SpanCategory::Kernel,
                                g.qubits.data(), g.qubits.size(),
                                pair_stride(g), gate_bytes * batch, start_ns);
+          }
           stats.bytes_streamed += gate_bytes * batch;
           if (g.kind != GateKind::I && g.kind != GateKind::BARRIER) {
             stats.passthrough_gates += batch;
@@ -422,12 +345,15 @@ EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
           const std::uint64_t swap_bytes =
               approx_streamed_bytes<T>(swap_gate, n);
           const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
-          for (StateVector<T>* s : states) apply_gate(*s, swap_gate);
-          if (tracing)
+          const PreparedGate<T> pg = prepare_whole_state<T>(swap_gate, n);
+          for (StateVector<T>* s : states)
+            apply_prepared(s->data(), n, pg, s->pool());
+          if (tracing) {
             tracer.record_span("exchange", obs::SpanCategory::Collective,
                                swap_gate.qubits.data(), 2,
                                pair_stride(swap_gate), swap_bytes * batch,
                                start_ns);
+          }
           stats.exchanges += batch;
           stats.bytes_streamed += swap_bytes * batch;
         }
@@ -435,16 +361,17 @@ EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
       }
       case PhaseKind::MeasureFlush: {
         require(static_cast<bool>(hooks.measure),
-                "run_plan_batch: MEASURE/RESET need a measure hook");
+                "run_plan: MEASURE/RESET need a Simulator (no measure hook)");
         for (const auto& g : phase.gates) {
           const std::uint64_t gate_bytes = approx_streamed_bytes<T>(g, n);
           const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
           for (std::size_t i = 0; i < batch; ++i)
             hooks.measure(i, *states[i], g);
-          if (tracing)
+          if (tracing) {
             tracer.record_span(g.name(), obs::SpanCategory::Measure,
                                g.qubits.data(), g.qubits.size(),
                                pair_stride(g), gate_bytes * batch, start_ns);
+          }
           stats.measure_ops += batch;
           stats.traversals += batch;
           stats.bytes_streamed += gate_bytes * batch;
@@ -452,16 +379,36 @@ EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
         break;
       }
     }
+    if (prof != nullptr) {
+      obs::PhaseSample sample;
+      sample.index = static_cast<std::uint32_t>(phase_index);
+      sample.kind = static_cast<std::uint8_t>(phase.kind);
+      sample.gates = static_cast<std::uint32_t>(phase.gates.size());
+      sample.hops = static_cast<std::uint32_t>(phase.hops.size());
+      sample.threads = first.pool().num_threads();
+      sample.bytes = stats.bytes_streamed - bytes_before;
+      sample.start_ns = phase_start;
+      sample.duration_ns = prof->now_ns() - phase_start;
+      sample.dropped_spans = tracer.dropped() - drops_before;
+      if (hw.has_value()) sample.hw = hw->stop();
+      prof->record_phase(std::move(sample));
+    }
   }
 
-  // Each trajectory counts as one plan execution, matching what a per-shot
-  // loop over run_plan would have published (stats.exchanges is already the
-  // batch total, so it is added once, not once per trajectory).
+  if (prof != nullptr)
+    prof->end_run(prof->now_ns() - run_start,
+                  tracer.dropped() > run_drops_before);
+
+  // Each state counts as one plan execution, matching what a per-shot loop
+  // over run_plan would have published (stats.exchanges is already the
+  // batch total, so it is added once, not once per state).
   observe_plan_execution(ctx.metrics(), stats, plan.phases.size(),
                          /*executions=*/batch);
   return stats;
 }
 
+template void apply_gate<float>(StateVector<float>&, const Gate&);
+template void apply_gate<double>(StateVector<double>&, const Gate&);
 template void run_sweep<float>(StateVector<float>&, const Gate*, std::size_t,
                                unsigned, const ExecutionContext&);
 template void run_sweep<double>(StateVector<double>&, const Gate*, std::size_t,
@@ -475,9 +422,9 @@ template EngineStats run_plan<double>(StateVector<double>&,
                                       const ExecutionContext&);
 template EngineStats run_plan_batch<float>(
     const std::vector<StateVector<float>*>&, const ExecutionPlan&,
-    const BatchHooks<float>&, const ExecutionContext&);
+    const PlanHooks<float>&, const ExecutionContext&);
 template EngineStats run_plan_batch<double>(
     const std::vector<StateVector<double>*>&, const ExecutionPlan&,
-    const BatchHooks<double>&, const ExecutionContext&);
+    const PlanHooks<double>&, const ExecutionContext&);
 
 }  // namespace svsim::sv

@@ -1,17 +1,21 @@
 // Execution engine: runs an ExecutionPlan against a StateVector.
 //
-// The engine is a thin interpreter over the plan IR (sv/plan.hpp):
+// The engine is a thin interpreter over the plan IR (sv/plan.hpp). One
+// executor walks the plan for a batch of same-width states; a single-state
+// run is a batch of one.
 //
 //  * LocalSweep phases are applied block-by-block: gates are prepared once
-//    (coefficients pre-cast, kernels resolved through the dispatch table in
-//    kernels.hpp), then each worker takes a contiguous range of aligned
-//    2^block_qubits blocks — the same static partition the state's
+//    per batch (coefficients pre-cast, kernels resolved through the dispatch
+//    table in kernels.hpp), then each worker takes a contiguous range of
+//    aligned 2^block_qubits blocks — the same static partition the state's
 //    first-touch initialization used, so on NUMA machines every worker
 //    streams pages it owns — and runs the whole sweep over one block while
 //    it is cache-resident. k gates cost ~1 traversal instead of k.
-//  * DenseGate phases fall back to the whole-state kernels via apply_gate;
-//    every gate records its tracer span and counts toward the stats (so
-//    drift reports see blocked and unblocked runs alike).
+//  * DenseGate phases prepare each gate once per batch and run the same
+//    scalar kernels over the whole state (apply_prepared, the path
+//    apply_gate takes); every gate records its tracer span and counts
+//    toward the stats (so drift reports see blocked and unblocked runs
+//    alike).
 //  * Exchange phases with moves_data perform the slot swaps on the full
 //    state — exactly the data movement the pairwise rank exchange performs;
 //    cost-only exchanges are skipped.
@@ -54,26 +58,19 @@ struct EngineStats {
 /// Executor callbacks a front-end may supply. The engine itself is purely
 /// unitary; anything stochastic (RNG, classical bits, noise channels) lives
 /// behind these hooks so one executor serves ideal, noisy, and distributed
-/// runs.
+/// runs. `traj` is the state's index in the batch (0 for run_plan), so each
+/// state draws from its own RNG stream and records its own classical bits.
 template <typename T>
 struct PlanHooks {
+  using Fn = std::function<void(std::size_t traj, StateVector<T>&,
+                                const qc::Gate&)>;
   /// Handles one MEASURE/RESET gate. Required when the plan has
-  /// MeasureFlush phases; run_plan throws otherwise.
-  std::function<void(StateVector<T>&, const qc::Gate&)> measure;
-  /// Called after each DenseGate application (noise channels). LocalSweep
-  /// phases are only compiled when this is absent.
-  std::function<void(StateVector<T>&, const qc::Gate&)> after_gate;
-};
-
-/// Batch-execution callbacks: the same contract as PlanHooks with the
-/// trajectory index prepended, so each state in the batch draws from its
-/// own RNG stream and records its own classical bits.
-template <typename T>
-struct BatchHooks {
-  std::function<void(std::size_t traj, StateVector<T>&, const qc::Gate&)>
-      measure;
-  std::function<void(std::size_t traj, StateVector<T>&, const qc::Gate&)>
-      after_gate;
+  /// MeasureFlush phases; the executor throws otherwise.
+  Fn measure;
+  /// Called after each DenseGate application (noise channels). Gates inside
+  /// LocalSweep phases have no per-gate boundary, so the executor rejects a
+  /// plan with LocalSweep phases when this is set.
+  Fn after_gate;
 };
 
 /// Records a copy of every ExecutionPlan run_plan executes while the scope
@@ -111,30 +108,29 @@ void run_sweep(StateVector<T>& state, const qc::Gate* gates, std::size_t count,
                unsigned block_qubits,
                const ExecutionContext& ctx = ExecutionContext::global());
 
-/// Executes a whole plan. Every phase kind records its tracer spans and
-/// metric counters (resolved through `ctx`); MeasureFlush needs
-/// hooks.measure.
+/// Executes a whole plan on one state: run_plan_batch over {&state}. Every
+/// phase kind records its tracer spans and metric counters (resolved
+/// through `ctx`); MeasureFlush needs hooks.measure.
 template <typename T>
 EngineStats run_plan(StateVector<T>& state, const ExecutionPlan& plan,
                      const PlanHooks<T>& hooks = {},
                      const ExecutionContext& ctx = ExecutionContext::global());
 
-/// Executes one plan over a batch of same-width states — the shot-batching
-/// hook the simulation service amortizes noise trajectories with. The plan
-/// is walked ONCE for the whole batch: each LocalSweep's gates are prepared
-/// (coefficients pre-cast, kernels resolved) a single time and applied to
-/// every state, and each phase records a single tracer span labeled with
-/// the batch's combined bytes, so per-trajectory bookkeeping cost drops
-/// with the batch size. Stochastic work comes in through BatchHooks with
-/// the batch-local trajectory index. Stats aggregate over the batch.
+/// Executes one plan over a batch of same-width states — the executor, and
+/// the shot-batching hook the simulation service amortizes noise
+/// trajectories with. The plan is walked ONCE for the whole batch: each
+/// gate is prepared (coefficients pre-cast, kernels resolved) a single time
+/// and applied to every state, and each phase records a single tracer span
+/// labeled with the batch's combined bytes, so per-trajectory bookkeeping
+/// cost drops with the batch size. Stats aggregate over the batch.
 ///
-/// Unlike run_plan, the batch path does not emit plan-phase profiler
-/// samples or PlanCaptureScope entries (a sample must describe one state's
-/// traversal; profile single runs instead).
+/// Plan-phase profiler samples and PlanCaptureScope entries are recorded
+/// for a batch of one only (a sample must describe one state's traversal;
+/// profile single runs instead).
 template <typename T>
 EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
                            const ExecutionPlan& plan,
-                           const BatchHooks<T>& hooks = {},
+                           const PlanHooks<T>& hooks = {},
                            const ExecutionContext& ctx =
                                ExecutionContext::global());
 
@@ -154,9 +150,9 @@ extern template EngineStats run_plan<double>(StateVector<double>&,
                                              const ExecutionContext&);
 extern template EngineStats run_plan_batch<float>(
     const std::vector<StateVector<float>*>&, const ExecutionPlan&,
-    const BatchHooks<float>&, const ExecutionContext&);
+    const PlanHooks<float>&, const ExecutionContext&);
 extern template EngineStats run_plan_batch<double>(
     const std::vector<StateVector<double>*>&, const ExecutionPlan&,
-    const BatchHooks<double>&, const ExecutionContext&);
+    const PlanHooks<double>&, const ExecutionContext&);
 
 }  // namespace svsim::sv

@@ -121,9 +121,10 @@ PreparedGate<T> prepare_gate(const Gate& g) {
   pg.sorted = g.qubits;
   std::sort(pg.sorted.begin(), pg.sorted.end());
   for (unsigned q : g.qubits) pg.mask |= pow2(q);
-  for (unsigned c : g.controls()) pg.cmask |= pow2(c);
-  const auto targets = g.targets();
-  pg.target = targets.empty() ? 0 : targets[0];
+  // Controls lead the operand list; the first target follows them.
+  const unsigned nc = g.num_controls();
+  for (unsigned i = 0; i < nc; ++i) pg.cmask |= pow2(g.qubits[i]);
+  pg.target = nc < g.qubits.size() ? g.qubits[nc] : 0;
 
   switch (pg.cls) {
     case KernelClass::Nop:
@@ -176,8 +177,7 @@ PreparedGate<T> prepare_gate(const Gate& g) {
     }
     case KernelClass::MatrixK: {
       const unsigned k = g.num_qubits();
-      require(k <= detail::blk::kMaxBlockMatrixK,
-              "prepare_gate: dense width too large for the block path");
+      require(k <= kMaxMatrixK, "prepare_gate: dense gate too wide");
       pg.coeff = cast_matrix<T>(g.kind == GateKind::UNITARY
                                     ? g.matrix_payload()
                                     : g.matrix());

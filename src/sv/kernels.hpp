@@ -1,6 +1,8 @@
 // Gate-application kernels over the raw amplitude array.
 //
-// Each kernel streams the state once. The 1-qubit iteration is written as
+// One scalar kernel per KernelClass, shared by the whole-state path
+// (apply_gate -> apply_prepared) and the cache-blocked sweep engine. Each
+// kernel streams its range once. The 1-qubit iteration is written as
 // (block, contiguous-run) loops rather than a per-pair index computation so
 // the inner loop is a unit-stride sweep the compiler can vectorize; for a
 // target qubit t the contiguous run length is 2^t, which is exactly the
@@ -14,6 +16,7 @@
 #include <array>
 #include <complex>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -52,36 +55,11 @@ inline std::complex<T> cast_c(const qc::cplx& v) {
 
 }  // namespace detail
 
-// ---- 1-qubit kernels ------------------------------------------------------
+// ---- ablation baseline ------------------------------------------------------
 
-/// General 2x2: [a0', a1'] = [[m00 m01],[m10 m11]] [a0, a1].
-template <typename T>
-void apply_matrix1(std::complex<T>* psi, unsigned n, unsigned t,
-                   const qc::Matrix& u, ThreadPool& pool) {
-  SVSIM_ASSERT(u.dim() == 2 && t < n);
-  const std::complex<T> m00 = detail::cast_c<T>(u(0, 0));
-  const std::complex<T> m01 = detail::cast_c<T>(u(0, 1));
-  const std::complex<T> m10 = detail::cast_c<T>(u(1, 0));
-  const std::complex<T> m11 = detail::cast_c<T>(u(1, 1));
-  const std::uint64_t stride = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        const std::complex<T> a0 = lo[j];
-        const std::complex<T> a1 = hi[j];
-        lo[j] = m00 * a0 + m01 * a1;
-        hi[j] = m10 * a0 + m11 * a1;
-      }
-    });
-  });
-}
-
-/// Reference variant of apply_matrix1 that computes each pair index with
-/// insert_zero_bit instead of run blocking. Same result, but the inner loop
-/// has a data-dependent index chain the vectorizer cannot see through —
+/// Reference variant of the Matrix1 kernel that computes each pair index
+/// with insert_zero_bit instead of run blocking. Same result, but the inner
+/// loop has a data-dependent index chain the vectorizer cannot see through —
 /// kept as the ablation baseline for the run-blocked design
 /// (bench_abl_design quantifies the difference).
 template <typename T>
@@ -106,332 +84,37 @@ void apply_matrix1_pairwise(std::complex<T>* psi, unsigned n, unsigned t,
   });
 }
 
-/// Hadamard: fewer multiplies than the general path.
-template <typename T>
-void apply_h(std::complex<T>* psi, unsigned n, unsigned t, ThreadPool& pool) {
-  const T inv_sqrt2 = static_cast<T>(0.70710678118654752440);
-  const std::uint64_t stride = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        const std::complex<T> a0 = lo[j];
-        const std::complex<T> a1 = hi[j];
-        lo[j] = (a0 + a1) * inv_sqrt2;
-        hi[j] = (a0 - a1) * inv_sqrt2;
-      }
-    });
-  });
-}
-
-/// X: pure swap of pair halves (no arithmetic).
-template <typename T>
-void apply_x(std::complex<T>* psi, unsigned n, unsigned t, ThreadPool& pool) {
-  const std::uint64_t stride = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      for (std::uint64_t j = 0; j < run; ++j) std::swap(lo[j], hi[j]);
-    });
-  });
-}
-
-/// Y = [[0,-i],[i,0]]: swap with ±i phases.
-template <typename T>
-void apply_y(std::complex<T>* psi, unsigned n, unsigned t, ThreadPool& pool) {
-  const std::uint64_t stride = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        const std::complex<T> a0 = lo[j];
-        const std::complex<T> a1 = hi[j];
-        lo[j] = std::complex<T>{a1.imag(), -a1.real()};   // -i * a1
-        hi[j] = std::complex<T>{-a0.imag(), a0.real()};   //  i * a0
-      }
-    });
-  });
-}
-
-/// Diagonal 1-qubit gate diag(d0, d1). When d0 == 1 (Z, S, T, P) only the
-/// |1> half of each pair is touched — half the memory traffic, which the
-/// performance model accounts for.
-template <typename T>
-void apply_diag1(std::complex<T>* psi, unsigned n, unsigned t, qc::cplx d0,
-                 qc::cplx d1, ThreadPool& pool) {
-  const std::complex<T> f0 = detail::cast_c<T>(d0);
-  const std::complex<T> f1 = detail::cast_c<T>(d1);
-  const std::uint64_t stride = pow2(t);
-  const bool skip_lower = (d0 == qc::cplx{1.0, 0.0});
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      if (skip_lower) {
-        for (std::uint64_t j = 0; j < run; ++j) hi[j] *= f1;
-      } else {
-        for (std::uint64_t j = 0; j < run; ++j) {
-          lo[j] *= f0;
-          hi[j] *= f1;
-        }
-      }
-    });
-  });
-}
-
-// ---- controlled 1-qubit kernels --------------------------------------------
-
-/// General 2x2 on `t`, applied only where every control bit is 1.
-template <typename T>
-void apply_controlled_matrix1(std::complex<T>* psi, unsigned n,
-                              const std::vector<unsigned>& controls,
-                              unsigned t, const qc::Matrix& u,
-                              ThreadPool& pool) {
-  SVSIM_ASSERT(u.dim() == 2 && t < n);
-  if (controls.empty()) {
-    apply_matrix1(psi, n, t, u, pool);
-    return;
-  }
-  const std::complex<T> m00 = detail::cast_c<T>(u(0, 0));
-  const std::complex<T> m01 = detail::cast_c<T>(u(0, 1));
-  const std::complex<T> m10 = detail::cast_c<T>(u(1, 0));
-  const std::complex<T> m11 = detail::cast_c<T>(u(1, 1));
-
-  std::vector<unsigned> positions = controls;
-  positions.push_back(t);
-  std::sort(positions.begin(), positions.end());
-  std::uint64_t cmask = 0;
-  for (unsigned c : controls) cmask |= pow2(c);
-  const std::uint64_t tbit = pow2(t);
-  const unsigned free_bits = n - static_cast<unsigned>(positions.size());
-
-  pool.parallel_for(pow2(free_bits), [=, &positions](unsigned, std::uint64_t b,
-                                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
-      const std::uint64_t i1 = i0 | tbit;
-      const std::complex<T> a0 = psi[i0];
-      const std::complex<T> a1 = psi[i1];
-      psi[i0] = m00 * a0 + m01 * a1;
-      psi[i1] = m10 * a0 + m11 * a1;
-    }
-  });
-}
-
-/// CX: swap the target pair where all controls are 1 (covers CCX/MCX too).
-template <typename T>
-void apply_mcx(std::complex<T>* psi, unsigned n,
-               const std::vector<unsigned>& controls, unsigned t,
-               ThreadPool& pool) {
-  std::vector<unsigned> positions = controls;
-  positions.push_back(t);
-  std::sort(positions.begin(), positions.end());
-  std::uint64_t cmask = 0;
-  for (unsigned c : controls) cmask |= pow2(c);
-  const std::uint64_t tbit = pow2(t);
-  const unsigned free_bits = n - static_cast<unsigned>(positions.size());
-  pool.parallel_for(pow2(free_bits), [=, &positions](unsigned, std::uint64_t b,
-                                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
-      std::swap(psi[i0], psi[i0 | tbit]);
-    }
-  });
-}
-
-/// Multi-controlled phase: multiplies the single amplitude subset where all
-/// of `qubits` (controls AND target — MCP is symmetric) are 1 by `phase`.
-template <typename T>
-void apply_mc_phase(std::complex<T>* psi, unsigned n,
-                    const std::vector<unsigned>& qubits, qc::cplx phase,
-                    ThreadPool& pool) {
-  std::vector<unsigned> positions = qubits;
-  std::sort(positions.begin(), positions.end());
-  std::uint64_t mask = 0;
-  for (unsigned q : qubits) mask |= pow2(q);
-  const std::complex<T> f = detail::cast_c<T>(phase);
-  const unsigned free_bits = n - static_cast<unsigned>(positions.size());
-  pool.parallel_for(pow2(free_bits), [=, &positions](unsigned, std::uint64_t b,
-                                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c)
-      psi[insert_zero_bits(c, positions) | mask] *= f;
-  });
-}
-
-/// Controlled diag(d0, d1) on target t (covers CZ, CP, CRZ, CCZ).
-template <typename T>
-void apply_controlled_diag1(std::complex<T>* psi, unsigned n,
-                            const std::vector<unsigned>& controls, unsigned t,
-                            qc::cplx d0, qc::cplx d1, ThreadPool& pool) {
-  if (d0 == qc::cplx{1.0, 0.0}) {
-    // Only the all-controls-1, target-1 subspace is scaled.
-    std::vector<unsigned> qs = controls;
-    qs.push_back(t);
-    apply_mc_phase(psi, n, qs, d1, pool);
-    return;
-  }
-  std::vector<unsigned> positions = controls;
-  positions.push_back(t);
-  std::sort(positions.begin(), positions.end());
-  std::uint64_t cmask = 0;
-  for (unsigned c : controls) cmask |= pow2(c);
-  const std::uint64_t tbit = pow2(t);
-  const std::complex<T> f0 = detail::cast_c<T>(d0);
-  const std::complex<T> f1 = detail::cast_c<T>(d1);
-  const unsigned free_bits = n - static_cast<unsigned>(positions.size());
-  pool.parallel_for(pow2(free_bits), [=, &positions](unsigned, std::uint64_t b,
-                                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
-      psi[i0] *= f0;
-      psi[i0 | tbit] *= f1;
-    }
-  });
-}
-
-// ---- 2-qubit kernels --------------------------------------------------------
-
-/// SWAP: exchanges amplitudes whose bits at (q0, q1) are (0,1) and (1,0).
-template <typename T>
-void apply_swap(std::complex<T>* psi, unsigned n, unsigned q0, unsigned q1,
-                ThreadPool& pool) {
-  std::vector<unsigned> positions = {std::min(q0, q1), std::max(q0, q1)};
-  const std::uint64_t b0 = pow2(q0), b1 = pow2(q1);
-  pool.parallel_for(pow2(n - 2), [=, &positions](unsigned, std::uint64_t b,
-                                                 std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t base = insert_zero_bits(c, positions);
-      std::swap(psi[base | b0], psi[base | b1]);
-    }
-  });
-}
-
-/// General 4x4 on (q0, q1) with q0 the matrix LSB.
-template <typename T>
-void apply_matrix2(std::complex<T>* psi, unsigned n, unsigned q0, unsigned q1,
-                   const qc::Matrix& u, ThreadPool& pool) {
-  SVSIM_ASSERT(u.dim() == 4 && q0 != q1 && q0 < n && q1 < n);
-  std::array<std::complex<T>, 16> m;
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c)
-      m[r * 4 + c] = detail::cast_c<T>(u(r, c));
-  std::vector<unsigned> positions = {std::min(q0, q1), std::max(q0, q1)};
-  const std::uint64_t b0 = pow2(q0), b1 = pow2(q1);
-  pool.parallel_for(pow2(n - 2), [=, &positions](unsigned, std::uint64_t b,
-                                                 std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t base = insert_zero_bits(c, positions);
-      const std::uint64_t i[4] = {base, base | b0, base | b1, base | b0 | b1};
-      const std::complex<T> a0 = psi[i[0]], a1 = psi[i[1]], a2 = psi[i[2]],
-                            a3 = psi[i[3]];
-      psi[i[0]] = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
-      psi[i[1]] = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
-      psi[i[2]] = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
-      psi[i[3]] = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
-    }
-  });
-}
-
-/// Diagonal 2-qubit gate diag(d00, d01, d10, d11) on (q0, q1), q0 = LSB.
-template <typename T>
-void apply_diag2(std::complex<T>* psi, unsigned n, unsigned q0, unsigned q1,
-                 const std::array<qc::cplx, 4>& d, ThreadPool& pool) {
-  std::array<std::complex<T>, 4> f;
-  for (std::size_t i = 0; i < 4; ++i) f[i] = detail::cast_c<T>(d[i]);
-  const std::uint64_t m0 = pow2(q0), m1 = pow2(q1);
-  pool.parallel_for(pow2(n), [=](unsigned, std::uint64_t b, std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i) {
-      const unsigned s = static_cast<unsigned>(((i & m1) != 0) * 2 +
-                                               ((i & m0) != 0));
-      psi[i] *= f[s];
-    }
-  });
-}
-
-// ---- k-qubit kernels ---------------------------------------------------------
-
-/// Dense 2^k x 2^k unitary on qs (qs[0] = matrix LSB). Practical for k <= 6;
-/// this is the fused-gate execution path.
-template <typename T>
-void apply_matrix_k(std::complex<T>* psi, unsigned n,
-                    const std::vector<unsigned>& qs, const qc::Matrix& u,
-                    ThreadPool& pool) {
-  const unsigned k = static_cast<unsigned>(qs.size());
-  SVSIM_ASSERT(u.dim() == pow2(k) && k <= n);
-  require(k <= 10, "apply_matrix_k: fused width too large");
-  const std::uint64_t sub = pow2(k);
-
-  // Precompute the scatter offsets of each sub-index and cast the matrix.
-  std::vector<std::uint64_t> offs(sub);
-  for (std::uint64_t s = 0; s < sub; ++s) offs[s] = scatter_bits(s, qs);
-  std::vector<std::complex<T>> m(sub * sub);
-  for (std::uint64_t r = 0; r < sub; ++r)
-    for (std::uint64_t c = 0; c < sub; ++c)
-      m[r * sub + c] = detail::cast_c<T>(u(r, c));
-
-  std::vector<unsigned> positions = qs;
-  std::sort(positions.begin(), positions.end());
-
-  pool.parallel_for(
-      pow2(n - k),
-      [=, &positions, &offs, &m](unsigned, std::uint64_t b, std::uint64_t e) {
-        std::vector<std::complex<T>> in(sub);
-        for (std::uint64_t c = b; c < e; ++c) {
-          const std::uint64_t base = insert_zero_bits(c, positions);
-          for (std::uint64_t s = 0; s < sub; ++s) in[s] = psi[base | offs[s]];
-          for (std::uint64_t r = 0; r < sub; ++r) {
-            std::complex<T> acc{};
-            const std::complex<T>* row = m.data() + r * sub;
-            for (std::uint64_t s = 0; s < sub; ++s) acc += row[s] * in[s];
-            psi[base | offs[r]] = acc;
-          }
-        }
-      });
-}
-
-/// Diagonal unitary on qs: psi[i] *= d[gather(i, qs)].
-template <typename T>
-void apply_diag_k(std::complex<T>* psi, unsigned n,
-                  const std::vector<unsigned>& qs,
-                  const std::vector<qc::cplx>& d, ThreadPool& pool) {
-  const unsigned k = static_cast<unsigned>(qs.size());
-  SVSIM_ASSERT(d.size() == pow2(k));
-  std::vector<std::complex<T>> f(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) f[i] = detail::cast_c<T>(d[i]);
-  pool.parallel_for(pow2(n), [=, &qs, &f](unsigned, std::uint64_t b,
-                                          std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i) psi[i] *= f[gather_bits(i, qs)];
-  });
-}
-
-// ---- block-local kernels and the dispatch table -----------------------------
+// ---- the kernel family and its dispatch tables ------------------------------
 //
-// The cache-blocked engine (sv/engine.hpp) applies a *sweep* of gates to one
-// aligned block of 2^b amplitudes at a time while the block is L2-resident.
-// The kernel contract for this path (documented in docs/ARCHITECTURE.md):
+// One scalar kernel per KernelClass serves both execution paths. Each kernel
+// takes an outer-index range [begin, end) over its own loop space on a
+// 2^nb-amplitude array; work_items(pg, nb) is the size of that space. The
+// kernel contract (documented in docs/ARCHITECTURE.md):
 //
-//  * Operands: every operand qubit of the gate is < b, so the gate acts
-//    identically and independently on each aligned block — the block kernel
-//    is the same math as the whole-state kernel with n replaced by b.
-//  * Threading: block kernels are SERIAL. The engine owns parallelism (one
-//    parallel_for over blocks, statically partitioned so each worker streams
-//    the pages it first-touched); a block kernel must never re-enter the
-//    pool.
-//  * Coefficients: pre-cast once per sweep into PreparedGate<T> — the
-//    per-block loop does no matrix conversion or allocation (MatrixK uses a
-//    fixed stack scratch, hence its k <= 8 limit).
-//  * Dispatch: one indirect call per (gate, block) through
-//    block_kernel_table<T>(), indexed by KernelClass.
+//  * Operands: every operand qubit of the gate is < nb. The whole-state
+//    path (apply_prepared) passes nb = n; the cache-blocked engine
+//    (sv/engine.hpp) passes the block exponent b, so the gate acts
+//    identically and independently on each aligned block of 2^b amplitudes.
+//  * Threading: kernels are SERIAL over their range. apply_prepared splits
+//    [0, work_items) across the pool; the blocked engine owns one
+//    parallel_for over blocks (statically partitioned so each worker streams
+//    the pages it first-touched) and runs each kernel over its full range.
+//    A kernel must never re-enter the pool.
+//  * Coefficients: pre-cast once into PreparedGate<T> — the kernel loop does
+//    no matrix conversion or allocation (MatrixK uses a fixed stack scratch,
+//    hence its k <= kMaxMatrixK limit on both paths).
+//  * Dispatch: one indirect call per (gate, range) through the ranged table
+//    (whole-state path) or per (gate, block) through block_kernel_table<T>()
+//    or a SIMD backend's table, indexed by KernelClass.
+//  * Rounding: with FMA contraction on, which partial product of a complex
+//    multiply the compiler fuses depends on the operand order and on where
+//    each operand is loaded from, and that decides the last bit of the
+//    result. The in-loop coefficient reads and the product order are part
+//    of each kernel's numerics: reordering them is a numerical change, not
+//    a refactor.
 
 /// Kernel specialization classes the dispatcher distinguishes. Order is the
-/// dispatch-table index; keep kernel_class_name and block_kernel_table in
+/// dispatch-table index; keep kernel_class_name and the kernel tables in
 /// sync.
 enum class KernelClass : std::uint8_t {
   Nop = 0,      ///< I / BARRIER
@@ -454,16 +137,20 @@ enum class KernelClass : std::uint8_t {
 
 inline constexpr std::size_t kNumKernelClasses = 16;
 
+/// Widest dense (MatrixK) gate either path applies: the kernel's stack
+/// scratch holds 2^kMaxMatrixK amplitudes.
+inline constexpr unsigned kMaxMatrixK = 10;
+
 const char* kernel_class_name(KernelClass c);
 
 /// Maps a gate to its kernel class. Total: every GateKind classifies
 /// (MEASURE/RESET as Unsupported). This is the single source of truth for
-/// which specialized kernel serves a gate on the blocked path.
+/// which specialized kernel serves a gate.
 KernelClass classify_gate(const qc::Gate& g);
 
-/// A gate resolved for block-local application: kernel class plus every
-/// coefficient pre-cast to the state precision, so applying it to a block
-/// touches only the block's amplitudes.
+/// A gate resolved for kernel application: kernel class plus every
+/// coefficient pre-cast to the state precision, so applying it touches only
+/// the amplitudes.
 template <typename T>
 struct PreparedGate {
   KernelClass cls = KernelClass::Nop;
@@ -489,14 +176,33 @@ unsigned min_block_qubits(const PreparedGate<T>& pg) {
   return m;
 }
 
+/// Size of a kernel's outer loop space on 2^nb amplitudes: one item per
+/// amplitude for the streaming diagonals, one per operand subspace (pair,
+/// quad, 2^k group) for every other kernel, none for Nop/Unsupported.
 template <typename T>
-void bk_nop(std::complex<T>*, unsigned, const PreparedGate<T>&) {}
+std::uint64_t work_items(const PreparedGate<T>& pg, unsigned nb) {
+  switch (pg.cls) {
+    case KernelClass::Nop:
+    case KernelClass::Unsupported:
+      return 0;
+    case KernelClass::Diag2:
+    case KernelClass::DiagK:
+      return pow2(nb);
+    default:
+      return pow2(nb - static_cast<unsigned>(pg.sorted.size()));
+  }
+}
 
 template <typename T>
-void bk_perm_x(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+void bk_nop(std::complex<T>*, unsigned, const PreparedGate<T>&, std::uint64_t,
+            std::uint64_t) {}
+
+template <typename T>
+void bk_perm_x(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+               std::uint64_t begin, std::uint64_t end) {
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     for (std::uint64_t j = 0; j < run; ++j) std::swap(lo[j], hi[j]);
@@ -504,27 +210,29 @@ void bk_perm_x(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
 }
 
 template <typename T>
-void bk_perm_y(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+void bk_perm_y(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+               std::uint64_t begin, std::uint64_t end) {
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     for (std::uint64_t j = 0; j < run; ++j) {
       const std::complex<T> a0 = lo[j];
       const std::complex<T> a1 = hi[j];
-      lo[j] = std::complex<T>{a1.imag(), -a1.real()};
-      hi[j] = std::complex<T>{-a0.imag(), a0.real()};
+      lo[j] = std::complex<T>{a1.imag(), -a1.real()};   // -i * a1
+      hi[j] = std::complex<T>{-a0.imag(), a0.real()};   //  i * a0
     }
   });
 }
 
 template <typename T>
-void bk_hadamard(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+void bk_hadamard(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+                 std::uint64_t begin, std::uint64_t end) {
   const T inv_sqrt2 = static_cast<T>(0.70710678118654752440);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     for (std::uint64_t j = 0; j < run; ++j) {
@@ -536,39 +244,43 @@ void bk_hadamard(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
   });
 }
 
+/// diag(d0, d1). When d0 == 1 (Z, S, T, P) only the |1> half of each pair
+/// is touched — half the memory traffic, which the performance model
+/// accounts for.
 template <typename T>
-void bk_diag1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
-  const std::complex<T> f0 = pg.coeff[0];
-  const std::complex<T> f1 = pg.coeff[1];
-  const bool skip_lower = (f0 == std::complex<T>{T{1}, T{0}});
+void bk_diag1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+              std::uint64_t begin, std::uint64_t end) {
+  const std::complex<T>* f = pg.coeff.data();
+  const bool skip_lower = (f[0] == std::complex<T>{T{1}, T{0}});
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     if (skip_lower) {
-      for (std::uint64_t j = 0; j < run; ++j) hi[j] *= f1;
+      for (std::uint64_t j = 0; j < run; ++j) hi[j] *= f[1];
     } else {
       for (std::uint64_t j = 0; j < run; ++j) {
-        lo[j] *= f0;
-        hi[j] *= f1;
+        lo[j] *= f[0];
+        hi[j] *= f[1];
       }
     }
   });
 }
 
 template <typename T>
-void bk_matrix1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
-  const std::complex<T> m00 = pg.coeff[0], m01 = pg.coeff[1];
-  const std::complex<T> m10 = pg.coeff[2], m11 = pg.coeff[3];
+void bk_matrix1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+                std::uint64_t begin, std::uint64_t end) {
+  const std::complex<T>* m = pg.coeff.data();
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     for (std::uint64_t j = 0; j < run; ++j) {
       const std::complex<T> a0 = lo[j];
       const std::complex<T> a1 = hi[j];
+      const std::complex<T> m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
       lo[j] = m00 * a0 + m01 * a1;
       hi[j] = m10 * a0 + m11 * a1;
     }
@@ -576,69 +288,70 @@ void bk_matrix1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
 }
 
 template <typename T>
-void bk_mcx(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+void bk_mcx(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+            std::uint64_t begin, std::uint64_t end) {
   const std::uint64_t tbit = pow2(pg.target);
-  const unsigned free_bits = nb - static_cast<unsigned>(pg.sorted.size());
-  for (std::uint64_t c = 0; c < pow2(free_bits); ++c) {
+  for (std::uint64_t c = begin; c < end; ++c) {
     const std::uint64_t i0 = insert_zero_bits(c, pg.sorted) | pg.cmask;
     std::swap(psi[i0], psi[i0 | tbit]);
   }
 }
 
 template <typename T>
-void bk_ctrl_matrix1(std::complex<T>* psi, unsigned nb,
-                     const PreparedGate<T>& pg) {
-  const std::complex<T> m00 = pg.coeff[0], m01 = pg.coeff[1];
-  const std::complex<T> m10 = pg.coeff[2], m11 = pg.coeff[3];
+void bk_ctrl_matrix1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+                     std::uint64_t begin, std::uint64_t end) {
+  const std::complex<T>* m = pg.coeff.data();
   const std::uint64_t tbit = pow2(pg.target);
-  const unsigned free_bits = nb - static_cast<unsigned>(pg.sorted.size());
-  for (std::uint64_t c = 0; c < pow2(free_bits); ++c) {
+  for (std::uint64_t c = begin; c < end; ++c) {
     const std::uint64_t i0 = insert_zero_bits(c, pg.sorted) | pg.cmask;
     const std::uint64_t i1 = i0 | tbit;
     const std::complex<T> a0 = psi[i0];
     const std::complex<T> a1 = psi[i1];
-    psi[i0] = m00 * a0 + m01 * a1;
-    psi[i1] = m10 * a0 + m11 * a1;
+    psi[i0] = m[0] * a0 + m[1] * a1;
+    psi[i1] = m[2] * a0 + m[3] * a1;
   }
 }
 
 template <typename T>
-void bk_ctrl_diag1(std::complex<T>* psi, unsigned nb,
-                   const PreparedGate<T>& pg) {
-  const std::complex<T> f0 = pg.coeff[0];
-  const std::complex<T> f1 = pg.coeff[1];
+void bk_ctrl_diag1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+                   std::uint64_t begin, std::uint64_t end) {
+  const std::complex<T>* f = pg.coeff.data();
   const std::uint64_t tbit = pow2(pg.target);
-  const unsigned free_bits = nb - static_cast<unsigned>(pg.sorted.size());
-  for (std::uint64_t c = 0; c < pow2(free_bits); ++c) {
+  for (std::uint64_t c = begin; c < end; ++c) {
     const std::uint64_t i0 = insert_zero_bits(c, pg.sorted) | pg.cmask;
-    psi[i0] *= f0;
-    psi[i0 | tbit] *= f1;
+    const std::complex<T> f0 = f[0];
+    psi[i0] = f0 * psi[i0];
+    const std::complex<T> f1 = f[1];
+    psi[i0 | tbit] = f1 * psi[i0 | tbit];
   }
 }
 
+/// Multiplies the single amplitude subset where every operand (controls AND
+/// target — MCP is symmetric) is 1 by the phase.
 template <typename T>
-void bk_mc_phase(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
-  const std::complex<T> f = pg.coeff[0];
-  const unsigned free_bits = nb - static_cast<unsigned>(pg.sorted.size());
-  for (std::uint64_t c = 0; c < pow2(free_bits); ++c)
-    psi[insert_zero_bits(c, pg.sorted) | pg.mask] *= f;
+void bk_mc_phase(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+                 std::uint64_t begin, std::uint64_t end) {
+  for (std::uint64_t c = begin; c < end; ++c)
+    psi[insert_zero_bits(c, pg.sorted) | pg.mask] *= pg.coeff[0];
 }
 
 template <typename T>
-void bk_perm_swap(std::complex<T>* psi, unsigned nb,
-                  const PreparedGate<T>& pg) {
+void bk_perm_swap(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+                  std::uint64_t begin, std::uint64_t end) {
   const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
-  for (std::uint64_t c = 0; c < pow2(nb - 2); ++c) {
+  for (std::uint64_t c = begin; c < end; ++c) {
     const std::uint64_t base = insert_zero_bits(c, pg.sorted);
     std::swap(psi[base | b0], psi[base | b1]);
   }
 }
 
+/// General 4x4 on (qubits[0], qubits[1]) with qubits[0] the matrix LSB.
 template <typename T>
-void bk_matrix2(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+void bk_matrix2(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+                std::uint64_t begin, std::uint64_t end) {
   const std::complex<T>* m = pg.coeff.data();
   const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
-  for (std::uint64_t c = 0; c < pow2(nb - 2); ++c) {
+  for (std::uint64_t c = begin; c < end; ++c) {
     const std::uint64_t base = insert_zero_bits(c, pg.sorted);
     const std::uint64_t i[4] = {base, base | b0, base | b1, base | b0 | b1};
     const std::complex<T> a0 = psi[i[0]], a1 = psi[i[1]], a2 = psi[i[2]],
@@ -651,9 +364,10 @@ void bk_matrix2(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
 }
 
 template <typename T>
-void bk_diag2(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+void bk_diag2(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+              std::uint64_t begin, std::uint64_t end) {
   const std::uint64_t m0 = pow2(pg.qubits[0]), m1 = pow2(pg.qubits[1]);
-  for (std::uint64_t i = 0; i < pow2(nb); ++i) {
+  for (std::uint64_t i = begin; i < end; ++i) {
     const unsigned s =
         static_cast<unsigned>(((i & m1) != 0) * 2 + ((i & m0) != 0));
     psi[i] *= pg.coeff[s];
@@ -661,35 +375,63 @@ void bk_diag2(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
 }
 
 template <typename T>
-void bk_diag_k(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
-  for (std::uint64_t i = 0; i < pow2(nb); ++i)
-    psi[i] *= pg.coeff[gather_bits(i, pg.qubits)];
+void bk_diag_k(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+               std::uint64_t begin, std::uint64_t end) {
+  const std::complex<T>* f = pg.coeff.data();
+  for (std::uint64_t i = begin; i < end; ++i)
+    psi[i] *= f[gather_bits(i, pg.qubits)];
 }
 
-/// MatrixK block limit: fixed stack scratch of 2^8 amplitudes.
-inline constexpr unsigned kMaxBlockMatrixK = 8;
-
+/// Dense 2^k x 2^k unitary on qubits (qubits[0] = matrix LSB), k <=
+/// kMaxMatrixK; the fused-gate execution path.
 template <typename T>
-void bk_matrix_k(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
-  const unsigned k = static_cast<unsigned>(pg.qubits.size());
-  const std::uint64_t sub = pow2(k);
-  std::array<std::complex<T>, pow2(kMaxBlockMatrixK)> in;
-  const unsigned free_bits = nb - k;
-  for (std::uint64_t c = 0; c < pow2(free_bits); ++c) {
+void bk_matrix_k(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
+                 std::uint64_t begin, std::uint64_t end) {
+  const std::uint64_t sub = pow2(static_cast<unsigned>(pg.qubits.size()));
+  std::array<std::complex<T>, pow2(kMaxMatrixK)> in;
+  for (std::uint64_t c = begin; c < end; ++c) {
     const std::uint64_t base = insert_zero_bits(c, pg.sorted);
     for (std::uint64_t s = 0; s < sub; ++s) in[s] = psi[base | pg.offs[s]];
     for (std::uint64_t r = 0; r < sub; ++r) {
       std::complex<T> acc{};
       const std::complex<T>* row = pg.coeff.data() + r * sub;
-      for (std::uint64_t s = 0; s < sub; ++s) acc += row[s] * in[s];
+      for (std::uint64_t s = 0; s < sub; ++s) acc += in[s] * row[s];
       psi[base | pg.offs[r]] = acc;
     }
   }
 }
 
 template <typename T>
-void bk_unsupported(std::complex<T>*, unsigned, const PreparedGate<T>&) {
+void bk_unsupported(std::complex<T>*, unsigned, const PreparedGate<T>&,
+                    std::uint64_t, std::uint64_t) {
   throw Error("block kernel: MEASURE/RESET are not block-local");
+}
+
+/// Ranged kernel signature: apply to outer indices [begin, end) of the
+/// kernel's loop space over 2^nb amplitudes.
+template <typename T>
+using RangeKernelFn = void (*)(std::complex<T>*, unsigned nb,
+                               const PreparedGate<T>&, std::uint64_t begin,
+                               std::uint64_t end);
+
+/// The scalar kernel family, indexed by KernelClass.
+template <typename T>
+inline constexpr std::array<RangeKernelFn<T>, kNumKernelClasses>
+    range_kernels = {
+        &bk_nop<T>,          &bk_perm_x<T>,       &bk_perm_y<T>,
+        &bk_perm_swap<T>,    &bk_mcx<T>,          &bk_hadamard<T>,
+        &bk_diag1<T>,        &bk_ctrl_diag1<T>,   &bk_mc_phase<T>,
+        &bk_diag2<T>,        &bk_diag_k<T>,       &bk_matrix1<T>,
+        &bk_ctrl_matrix1<T>, &bk_matrix2<T>,      &bk_matrix_k<T>,
+        &bk_unsupported<T>,
+};
+
+/// The scalar kernel of class C over its full range: the whole-block form
+/// the dispatch tables hold and SIMD backends fall back to.
+template <typename T, KernelClass C>
+void full_range(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+  range_kernels<T>[static_cast<std::size_t>(C)](psi, nb, pg, 0,
+                                                work_items(pg, nb));
 }
 
 }  // namespace detail::blk
@@ -699,24 +441,18 @@ template <typename T>
 using BlockKernelFn = void (*)(std::complex<T>*, unsigned nb,
                                const PreparedGate<T>&);
 
-/// The portable scalar reference table, indexed by KernelClass. SIMD
-/// backends (sv/simd) derive their tables from this one, substituting
-/// hand-vectorized entries; it also serves as the equivalence oracle in
-/// tests.
+/// The portable scalar reference table, indexed by KernelClass: the ranged
+/// kernels over their full range. SIMD backends (sv/simd) derive their
+/// tables from this one, substituting hand-vectorized entries; it also
+/// serves as the equivalence oracle in tests.
 template <typename T>
 inline const std::array<BlockKernelFn<T>, kNumKernelClasses>&
 block_kernel_table() {
-  namespace blk = detail::blk;
-  static const std::array<BlockKernelFn<T>, kNumKernelClasses> table = {
-      &blk::bk_nop<T>,          &blk::bk_perm_x<T>,
-      &blk::bk_perm_y<T>,       &blk::bk_perm_swap<T>,
-      &blk::bk_mcx<T>,          &blk::bk_hadamard<T>,
-      &blk::bk_diag1<T>,        &blk::bk_ctrl_diag1<T>,
-      &blk::bk_mc_phase<T>,     &blk::bk_diag2<T>,
-      &blk::bk_diag_k<T>,       &blk::bk_matrix1<T>,
-      &blk::bk_ctrl_matrix1<T>, &blk::bk_matrix2<T>,
-      &blk::bk_matrix_k<T>,     &blk::bk_unsupported<T>,
-  };
+  static const std::array<BlockKernelFn<T>, kNumKernelClasses> table =
+      []<std::size_t... C>(std::index_sequence<C...>) {
+        return std::array<BlockKernelFn<T>, kNumKernelClasses>{
+            &detail::blk::full_range<T, static_cast<KernelClass>(C)>...};
+      }(std::make_index_sequence<kNumKernelClasses>{});
   return table;
 }
 
@@ -735,16 +471,32 @@ template <>
 const std::array<BlockKernelFn<double>, kNumKernelClasses>&
 active_block_kernel_table<double>();
 
-/// Resolves `g` for block-local application: classifies it and pre-casts
-/// every coefficient to precision T. Throws for MEASURE/RESET and for dense
-/// payloads wider than the block path supports.
+/// Resolves `g` for kernel application: classifies it and pre-casts every
+/// coefficient to precision T. Throws for MEASURE/RESET and for dense
+/// payloads wider than kMaxMatrixK.
 template <typename T>
 PreparedGate<T> prepare_gate(const qc::Gate& g);
 
 extern template PreparedGate<float> prepare_gate<float>(const qc::Gate&);
 extern template PreparedGate<double> prepare_gate<double>(const qc::Gate&);
 
-/// Applies a prepared gate serially to one aligned block of 2^nb amplitudes.
+/// Applies a prepared gate to a whole 2^n-amplitude state: the scalar
+/// kernel of its class over [0, work_items), split across `pool`.
+/// Precondition: every operand qubit < n.
+template <typename T>
+inline void apply_prepared(std::complex<T>* psi, unsigned n,
+                           const PreparedGate<T>& pg, ThreadPool& pool) {
+  if (pg.cls == KernelClass::Nop) return;
+  const detail::blk::RangeKernelFn<T> kernel =
+      detail::blk::range_kernels<T>[static_cast<std::size_t>(pg.cls)];
+  pool.parallel_for(detail::blk::work_items(pg, n),
+                    [=, &pg](unsigned, std::uint64_t b, std::uint64_t e) {
+                      kernel(psi, n, pg, b, e);
+                    });
+}
+
+/// Applies a prepared gate serially to one aligned block of 2^nb amplitudes
+/// through the active SIMD backend's table.
 /// Precondition (the kernel contract): every operand qubit < nb.
 template <typename T>
 inline void apply_gate_in_block(std::complex<T>* block, unsigned nb,

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "sv/kernels.hpp"
+#include "sv/simulator.hpp"
 
 namespace svsim::sv {
 
@@ -21,50 +22,54 @@ void apply_random_pauli(StateVector<T>& state,
     const unsigned q = qubits[i];
     switch (code) {
       case 0: break;
-      case 1: apply_x(state.data(), state.num_qubits(), q, state.pool()); break;
-      case 2: apply_y(state.data(), state.num_qubits(), q, state.pool()); break;
-      case 3:
-        apply_diag1(state.data(), state.num_qubits(), q, {1.0, 0.0},
-                    {-1.0, 0.0}, state.pool());
-        break;
+      case 1: apply_gate(state, qc::Gate::x(q)); break;
+      case 2: apply_gate(state, qc::Gate::y(q)); break;
+      case 3: apply_gate(state, qc::Gate::z(q)); break;
     }
   }
 }
 
-/// One amplitude-damping trajectory step on qubit q.
+/// One amplitude-damping trajectory step on each of `qubits`.
 template <typename T>
-void apply_amplitude_damping(StateVector<T>& state, unsigned q, double gamma,
-                             Xoshiro256& rng) {
-  const double p1 = state.probability_of_one(q);
-  const double p_jump = gamma * p1;
+void apply_amplitude_damping(StateVector<T>& state,
+                             const std::vector<unsigned>& qubits,
+                             double gamma, Xoshiro256& rng) {
   std::complex<T>* psi = state.data();
   const unsigned n = state.num_qubits();
-  if (rng.uniform() < p_jump) {
-    // Jump K1 = [[0, √γ],[0, 0]]: |1> component moves to |0>; after
-    // normalization the state is the post-jump trajectory.
-    const T scale = static_cast<T>(1.0 / std::sqrt(p1));
-    state.pool().parallel_for(
-        pow2(n - 1), [psi, q, scale](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-          for (std::uint64_t c = b; c < e; ++c) {
-            const std::uint64_t i0 = insert_zero_bit(c, q);
-            const std::uint64_t i1 = i0 | pow2(q);
-            psi[i0] = psi[i1] * scale;
-            psi[i1] = {};
-          }
-        });
-  } else {
-    // No-jump K0 = diag(1, √(1-γ)), then renormalize by the no-jump
-    // probability 1 - γ·p1.
-    const T damp = static_cast<T>(std::sqrt(1.0 - gamma));
-    apply_diag1(psi, n, q, {1.0, 0.0},
-                {static_cast<double>(damp), 0.0}, state.pool());
-    const double p_nojump = 1.0 - p_jump;
-    const T scale = static_cast<T>(1.0 / std::sqrt(p_nojump));
-    state.pool().parallel_for(
-        pow2(n), [psi, scale](unsigned, std::uint64_t b, std::uint64_t e) {
-          for (std::uint64_t i = b; i < e; ++i) psi[i] *= scale;
-        });
+  // No-jump Kraus operator K0 = diag(1, √(1-γ)) as a Diag1 kernel,
+  // retargeted to each qubit.
+  PreparedGate<T> k0;
+  k0.cls = KernelClass::Diag1;
+  k0.sorted = {0};
+  k0.coeff = {T{1}, static_cast<T>(std::sqrt(1.0 - gamma))};
+  for (unsigned q : qubits) {
+    const double p1 = state.probability_of_one(q);
+    const double p_jump = gamma * p1;
+    if (rng.uniform() < p_jump) {
+      // Jump K1 = [[0, √γ],[0, 0]]: |1> component moves to |0>; after
+      // normalization the state is the post-jump trajectory.
+      const T scale = static_cast<T>(1.0 / std::sqrt(p1));
+      state.pool().parallel_for(
+          pow2(n - 1), [psi, q, scale](unsigned, std::uint64_t b,
+                                       std::uint64_t e) {
+            for (std::uint64_t c = b; c < e; ++c) {
+              const std::uint64_t i0 = insert_zero_bit(c, q);
+              const std::uint64_t i1 = i0 | pow2(q);
+              psi[i0] = psi[i1] * scale;
+              psi[i1] = {};
+            }
+          });
+    } else {
+      // Apply K0, then renormalize by the no-jump probability 1 - γ·p1.
+      k0.target = k0.sorted[0] = q;
+      apply_prepared(psi, n, k0, state.pool());
+      const double p_nojump = 1.0 - p_jump;
+      const T scale = static_cast<T>(1.0 / std::sqrt(p_nojump));
+      state.pool().parallel_for(
+          pow2(n), [psi, scale](unsigned, std::uint64_t b, std::uint64_t e) {
+            for (std::uint64_t i = b; i < e; ++i) psi[i] *= scale;
+          });
+    }
   }
 }
 
@@ -122,18 +127,14 @@ void NoiseModel::apply_after(StateVector<T>& state, const qc::Gate& gate,
         break;
       case NoiseChannel::Type::BitFlip:
         for (unsigned q : gate.qubits)
-          if (rng.uniform() < ch.parameter)
-            apply_x(state.data(), state.num_qubits(), q, state.pool());
+          if (rng.uniform() < ch.parameter) apply_gate(state, qc::Gate::x(q));
         break;
       case NoiseChannel::Type::PhaseFlip:
         for (unsigned q : gate.qubits)
-          if (rng.uniform() < ch.parameter)
-            apply_diag1(state.data(), state.num_qubits(), q, {1.0, 0.0},
-                        {-1.0, 0.0}, state.pool());
+          if (rng.uniform() < ch.parameter) apply_gate(state, qc::Gate::z(q));
         break;
       case NoiseChannel::Type::AmplitudeDamping:
-        for (unsigned q : gate.qubits)
-          apply_amplitude_damping(state, q, ch.parameter, rng);
+        apply_amplitude_damping(state, gate.qubits, ch.parameter, rng);
         break;
     }
   }

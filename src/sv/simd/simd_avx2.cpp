@@ -148,7 +148,7 @@ void matrix2_d(std::complex<double>* psi, unsigned nb,
   // Unit-stride quad streams require both operand qubits above the
   // in-vector bit; low-qubit pairs fall back to the scalar reference.
   if (nb < 3 || pg.sorted[0] < 1) {
-    blk::bk_matrix2<double>(psi, nb, pg);
+    blk::full_range<double, KernelClass::Matrix2>(psi, nb, pg);
     return;
   }
   CconstD m[16];
@@ -214,7 +214,7 @@ void hadamard_s(std::complex<float>* psi, unsigned nb,
                 const PreparedGate<float>& pg) {
   const unsigned t = pg.target;
   if (nb < 2) {  // fewer amplitudes than one vector
-    blk::bk_hadamard<float>(psi, nb, pg);
+    blk::full_range<float, KernelClass::Hadamard>(psi, nb, pg);
     return;
   }
   const __m256 vs =
@@ -251,7 +251,7 @@ void diag1_s(std::complex<float>* psi, unsigned nb,
              const PreparedGate<float>& pg) {
   const unsigned t = pg.target;
   if (nb < 2) {
-    blk::bk_diag1<float>(psi, nb, pg);
+    blk::full_range<float, KernelClass::Diag1>(psi, nb, pg);
     return;
   }
   const std::complex<float> f0 = pg.coeff[0], f1 = pg.coeff[1];
@@ -282,7 +282,7 @@ void matrix1_s(std::complex<float>* psi, unsigned nb,
                const PreparedGate<float>& pg) {
   const unsigned t = pg.target;
   if (nb < 2) {
-    blk::bk_matrix1<float>(psi, nb, pg);
+    blk::full_range<float, KernelClass::Matrix1>(psi, nb, pg);
     return;
   }
   const std::complex<float> m00 = pg.coeff[0], m01 = pg.coeff[1];
@@ -319,7 +319,7 @@ void matrix1_s(std::complex<float>* psi, unsigned nb,
 void matrix2_s(std::complex<float>* psi, unsigned nb,
                const PreparedGate<float>& pg) {
   if (nb < 4 || pg.sorted[0] < 2) {
-    blk::bk_matrix2<float>(psi, nb, pg);
+    blk::full_range<float, KernelClass::Matrix2>(psi, nb, pg);
     return;
   }
   CconstS m[16];

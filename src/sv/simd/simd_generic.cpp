@@ -93,7 +93,7 @@ void g_hadamard(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
   if (2 * stride < kScalars) {
-    blk::bk_hadamard<T>(psi, nb, pg);
+    blk::full_range<T, KernelClass::Hadamard>(psi, nb, pg);
     return;
   }
   const V vs = splat<V>(static_cast<T>(0.70710678118654752440));
@@ -118,7 +118,7 @@ void g_diag1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
   if (2 * stride < kScalars) {
-    blk::bk_diag1<T>(psi, nb, pg);
+    blk::full_range<T, KernelClass::Diag1>(psi, nb, pg);
     return;
   }
   const bool skip_lower = (pg.coeff[0] == std::complex<T>{T{1}, T{0}});
@@ -143,7 +143,7 @@ void g_matrix1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
   if (2 * stride < kScalars) {
-    blk::bk_matrix1<T>(psi, nb, pg);
+    blk::full_range<T, KernelClass::Matrix1>(psi, nb, pg);
     return;
   }
   const Cconst<V, T> c00 = csplit<V>(pg.coeff[0]);

@@ -7,114 +7,12 @@
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "sv/engine.hpp"
-#include "sv/kernels.hpp"
 #include "sv/plan.hpp"
 
 namespace svsim::sv {
 
 using qc::Gate;
 using qc::GateKind;
-using qc::cplx;
-
-template <typename T>
-void apply_gate(StateVector<T>& state, const Gate& g) {
-  std::complex<T>* psi = state.data();
-  const unsigned n = state.num_qubits();
-  ThreadPool& pool = state.pool();
-  for (unsigned q : g.qubits)
-    require(q < n, "apply_gate: qubit out of range");
-
-  switch (g.kind) {
-    case GateKind::I:
-    case GateKind::BARRIER:
-      return;
-    case GateKind::X:
-      apply_x(psi, n, g.qubits[0], pool);
-      return;
-    case GateKind::Y:
-      apply_y(psi, n, g.qubits[0], pool);
-      return;
-    case GateKind::H:
-      apply_h(psi, n, g.qubits[0], pool);
-      return;
-    case GateKind::Z:
-    case GateKind::S:
-    case GateKind::Sdg:
-    case GateKind::T:
-    case GateKind::Tdg:
-    case GateKind::P:
-    case GateKind::RZ: {
-      const qc::Matrix u = g.matrix();
-      apply_diag1(psi, n, g.qubits[0], u(0, 0), u(1, 1), pool);
-      return;
-    }
-    case GateKind::SX:
-    case GateKind::SXdg:
-    case GateKind::RX:
-    case GateKind::RY:
-    case GateKind::U:
-      apply_matrix1(psi, n, g.qubits[0], g.matrix(), pool);
-      return;
-    case GateKind::CX:
-    case GateKind::CCX:
-    case GateKind::MCX:
-      apply_mcx(psi, n, g.controls(), g.targets()[0], pool);
-      return;
-    case GateKind::CZ:
-    case GateKind::CP:
-    case GateKind::CRZ:
-    case GateKind::CCZ:
-    case GateKind::MCP: {
-      const qc::Matrix u = g.target_matrix();
-      apply_controlled_diag1(psi, n, g.controls(), g.targets()[0], u(0, 0),
-                             u(1, 1), pool);
-      return;
-    }
-    case GateKind::CY:
-    case GateKind::CH:
-    case GateKind::CRX:
-    case GateKind::CRY:
-      apply_controlled_matrix1(psi, n, g.controls(), g.targets()[0],
-                               g.target_matrix(), pool);
-      return;
-    case GateKind::SWAP:
-      apply_swap(psi, n, g.qubits[0], g.qubits[1], pool);
-      return;
-    case GateKind::RZZ: {
-      const qc::Matrix u = g.matrix();
-      apply_diag2(psi, n, g.qubits[0], g.qubits[1],
-                  {u(0, 0), u(1, 1), u(2, 2), u(3, 3)}, pool);
-      return;
-    }
-    case GateKind::ISWAP:
-    case GateKind::RXX:
-    case GateKind::RYY:
-    case GateKind::U2Q:
-      apply_matrix2(psi, n, g.qubits[0], g.qubits[1], g.matrix(), pool);
-      return;
-    case GateKind::CSWAP:
-      apply_matrix_k(psi, n, g.qubits, g.matrix(), pool);
-      return;
-    case GateKind::DIAG:
-      apply_diag_k(psi, n, g.qubits, g.diagonal_entries(), pool);
-      return;
-    case GateKind::UNITARY:
-      if (g.num_qubits() == 1) {
-        apply_matrix1(psi, n, g.qubits[0], g.matrix_payload(), pool);
-      } else if (g.num_qubits() == 2) {
-        apply_matrix2(psi, n, g.qubits[0], g.qubits[1], g.matrix_payload(),
-                      pool);
-      } else {
-        apply_matrix_k(psi, n, g.qubits, g.matrix_payload(), pool);
-      }
-      return;
-    case GateKind::MEASURE:
-    case GateKind::RESET:
-      throw Error(
-          "apply_gate: MEASURE/RESET need a Simulator (they are stochastic)");
-  }
-  throw Error("apply_gate: unhandled gate kind");
-}
 
 template <typename T>
 Simulator<T>::Simulator(SimulatorOptions options)
@@ -161,40 +59,8 @@ void Simulator<T>::run_in_place(StateVector<T>& state,
 
 template <typename T>
 void Simulator<T>::run_plan(StateVector<T>& state, const ExecutionPlan& plan) {
-  require(state.num_qubits() == plan.num_qubits,
-          "run_plan: state/plan width mismatch");
   classical_bits_.assign(plan.num_clbits, false);
-
-  // The engine is purely unitary; the stochastic ops and trajectory noise
-  // come in through the hooks so measurement order (and thus RNG
-  // consumption) is identical across dense, blocked, and distributed plans.
-  PlanHooks<T> hooks;
-  hooks.measure = [this](StateVector<T>& s, const Gate& g) {
-    if (g.kind == GateKind::MEASURE) {
-      // Readout error flips only the recorded bit, not the collapse.
-      classical_bits_[g.cbit] =
-          options_.noise.flip_readout(s.measure(g.qubits[0], rng_), rng_);
-    } else {
-      s.reset_qubit(g.qubits[0], rng_);
-    }
-  };
-  if (!options_.noise.empty()) {
-    hooks.after_gate = [this](StateVector<T>& s, const Gate& g) {
-      options_.noise.apply_after(s, g, rng_);
-    };
-  }
-
-  const EngineStats stats = svsim::sv::run_plan(state, plan, hooks, ctx());
-
-  // One registry flush per run, not per gate: counters stay observable even
-  // on hot trajectory loops without per-gate atomics. Handles are resolved
-  // from the context's registry on every run — never cached in statics,
-  // which would pin the first registry across contexts.
-  obs::MetricsRegistry& registry = ctx().metrics();
-  registry.counter("sv.runs").increment();
-  registry.counter("sv.gates_applied").add(plan.total_gates());
-  registry.counter("sv.bytes_streamed").add(stats.bytes_streamed);
-  registry.counter("sv.measure_ops").add(stats.measure_ops);
+  execute({&state}, plan, &rng_, &classical_bits_);
 }
 
 namespace {
@@ -215,10 +81,6 @@ std::vector<std::vector<bool>> Simulator<T>::run_plan_batch(
     const std::vector<StateVector<T>*>& states, const ExecutionPlan& plan,
     std::uint64_t first_trajectory) {
   if (states.empty()) return {};
-  for (const StateVector<T>* s : states)
-    require(s != nullptr && s->num_qubits() == plan.num_qubits,
-            "run_plan_batch: state/plan width mismatch");
-
   std::vector<std::vector<bool>> bits(
       states.size(), std::vector<bool>(plan.num_clbits, false));
   // One independent stream per trajectory, keyed by the global index: the
@@ -228,19 +90,33 @@ std::vector<std::vector<bool>> Simulator<T>::run_plan_batch(
   for (std::size_t i = 0; i < states.size(); ++i)
     rngs.emplace_back(trajectory_seed(options_.seed, first_trajectory + i));
 
-  BatchHooks<T> hooks;
-  hooks.measure = [this, &bits, &rngs](std::size_t traj, StateVector<T>& s,
-                                       const Gate& g) {
+  execute(states, plan, rngs.data(), bits.data());
+  classical_bits_ = bits.back();
+  return bits;
+}
+
+template <typename T>
+void Simulator<T>::execute(const std::vector<StateVector<T>*>& states,
+                           const ExecutionPlan& plan, Xoshiro256* rngs,
+                           std::vector<bool>* bits) {
+  // The engine is purely unitary; the stochastic ops and trajectory noise
+  // come in through the hooks so measurement order (and thus RNG
+  // consumption) is identical across dense, blocked, and distributed plans.
+  // State i draws from rngs[i] and records into bits[i].
+  PlanHooks<T> hooks;
+  hooks.measure = [this, rngs, bits](std::size_t traj, StateVector<T>& s,
+                                     const Gate& g) {
     if (g.kind == GateKind::MEASURE) {
+      // Readout error flips only the recorded bit, not the collapse.
       bits[traj][g.cbit] = options_.noise.flip_readout(
           s.measure(g.qubits[0], rngs[traj]), rngs[traj]);
     } else {
       s.reset_qubit(g.qubits[0], rngs[traj]);
     }
   };
-  if (!options_.noise.empty()) {
-    hooks.after_gate = [this, &rngs](std::size_t traj, StateVector<T>& s,
-                                     const Gate& g) {
+  if (!options_.noise.channels().empty()) {
+    hooks.after_gate = [this, rngs](std::size_t traj, StateVector<T>& s,
+                                    const Gate& g) {
       options_.noise.apply_after(s, g, rngs[traj]);
     };
   }
@@ -248,14 +124,15 @@ std::vector<std::vector<bool>> Simulator<T>::run_plan_batch(
   const EngineStats stats =
       svsim::sv::run_plan_batch(states, plan, hooks, ctx());
 
+  // One registry flush per call, not per gate: counters stay observable
+  // even on hot trajectory loops without per-gate atomics. Handles are
+  // resolved from the context's registry on every call — never cached in
+  // statics, which would pin the first registry across contexts.
   obs::MetricsRegistry& registry = ctx().metrics();
   registry.counter("sv.runs").add(states.size());
   registry.counter("sv.gates_applied").add(plan.total_gates() * states.size());
   registry.counter("sv.bytes_streamed").add(stats.bytes_streamed);
   registry.counter("sv.measure_ops").add(stats.measure_ops);
-
-  classical_bits_ = bits.back();
-  return bits;
 }
 
 namespace {
@@ -341,8 +218,6 @@ double Simulator<T>::expectation(const qc::Circuit& circuit,
   return state.expectation(op);
 }
 
-template void apply_gate<float>(StateVector<float>&, const qc::Gate&);
-template void apply_gate<double>(StateVector<double>&, const qc::Gate&);
 template class Simulator<float>;
 template class Simulator<double>;
 

@@ -30,8 +30,9 @@ namespace svsim::sv {
 
 struct ExecutionPlan;
 
-/// Applies one unitary gate to the state (kernel dispatch; no noise, no
-/// measurement). BARRIER and I are no-ops. Throws for MEASURE/RESET.
+/// Applies one unitary gate to the state: prepare_gate, then the scalar
+/// kernel of its class over the whole state (no noise, no measurement).
+/// BARRIER and I are no-ops. Throws for MEASURE/RESET.
 template <typename T>
 void apply_gate(StateVector<T>& state, const qc::Gate& gate);
 
@@ -124,6 +125,12 @@ class Simulator {
   /// Pool for states this simulator creates: the context's when a context
   /// was supplied, else options_.pool.
   ThreadPool& exec_pool() const noexcept;
+  /// Runs the plan over `states` through the engine executor with this
+  /// simulator's measure/noise hooks (state i draws from rngs[i] and
+  /// records into bits[i]), then publishes the sv.* run counters.
+  void execute(const std::vector<StateVector<T>*>& states,
+               const ExecutionPlan& plan, Xoshiro256* rngs,
+               std::vector<bool>* bits);
 
   SimulatorOptions options_;
   Xoshiro256 rng_;

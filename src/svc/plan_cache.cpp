@@ -47,10 +47,11 @@ void hash_complex(Fnv1a& h, const qc::cplx& c) {
 
 std::string PlanKey::to_string() const {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "c%016llx.m%016llx.o%016llx",
+  std::snprintf(buf, sizeof(buf), "c%016llx.m%016llx.o%016llx.%c",
                 static_cast<unsigned long long>(circuit_fp),
                 static_cast<unsigned long long>(machine_fp),
-                static_cast<unsigned long long>(options_fp));
+                static_cast<unsigned long long>(options_fp),
+                sampled_mode ? 's' : 't');
   return buf;
 }
 

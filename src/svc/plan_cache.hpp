@@ -7,8 +7,9 @@
 // price). Entries are keyed by three FNV-1a fingerprints — circuit
 // structure, MachineSpec description, and the effective compile options
 // (including the *resolved* cache budget, so SVSIM_CACHE_BUDGET=probed
-// changing block sizing changes the key) — and evicted LRU by estimated
-// plan memory footprint against a byte budget.
+// changing block sizing changes the key) — plus the execution mode
+// (sampled or trajectory, which decides what the entry compiles), and
+// evicted LRU by estimated plan memory footprint against a byte budget.
 //
 // Hit/miss/eviction counts and resident bytes publish to the obs registry
 // as svc.plan_cache.{hits,misses,evictions} counters and the
@@ -40,14 +41,19 @@ class MetricsRegistry;
 
 namespace svsim::svc {
 
-/// Cache key: (what to run) x (what it runs on) x (how it was compiled).
+/// Cache key: (what to run) x (what it runs on) x (how it was compiled) x
+/// (how it executes).
 struct PlanKey {
   std::uint64_t circuit_fp = 0;
   std::uint64_t machine_fp = 0;
   std::uint64_t options_fp = 0;
+  /// Execution mode: true = sampled (the entry holds the stripped unitary
+  /// part), false = trajectories (the full circuit). It follows from the
+  /// request's noise, so a noisy job and its noiseless twin are two keys.
+  bool sampled_mode = true;
 
   bool operator==(const PlanKey&) const = default;
-  /// Stable rendering "c<hex>.m<hex>.o<hex>" used in result records.
+  /// Stable rendering "c<hex>.m<hex>.o<hex>.<s|t>" used in result records.
   std::string to_string() const;
 };
 
@@ -55,7 +61,8 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const noexcept {
     // The fingerprints are already avalanched; fold them.
     return static_cast<std::size_t>(k.circuit_fp ^ (k.machine_fp * 31) ^
-                                    (k.options_fp * 131));
+                                    (k.options_fp * 131) ^
+                                    std::uint64_t{k.sampled_mode});
   }
 };
 

@@ -52,6 +52,20 @@ bool measurements_trailing(const qc::Circuit& circuit) {
   return true;
 }
 
+/// The execution mode a job runs in: sampled (prepare once, sample every
+/// shot) when it has no gate noise, no RESET, and only trailing measures —
+/// the same predicate Simulator::sample_counts takes its fast path on —
+/// else one trajectory per shot.
+bool sampled_mode_for(const JobRequest& request, const qc::Circuit& circuit) {
+  const auto& gates = circuit.gates();
+  return request.noise.channels().empty() &&
+         std::none_of(gates.begin(), gates.end(),
+                      [](const qc::Gate& g) {
+                        return g.kind == qc::GateKind::RESET;
+                      }) &&
+         measurements_trailing(circuit);
+}
+
 /// MSB-first classical-register rendering of a counts key (identical to the
 /// `svsim run` output labels).
 std::string bit_label(std::uint64_t key, unsigned width) {
@@ -250,6 +264,7 @@ JobResult Service::execute(const JobRequest& request,
   key.machine_fp = fingerprint_machine(&options_.machine);
   key.options_fp = fingerprint_plan_options(po, request.ranks,
                                             request.scheduler, po.amp_bytes);
+  key.sampled_mode = sampled_mode_for(request, circuit);
   result.cache_key = key.to_string();
 
   std::shared_ptr<const CachedPlan> cached = cache_.get(key);
@@ -258,15 +273,7 @@ JobResult Service::execute(const JobRequest& request,
     const auto compile_start = Clock::now();
     auto entry = std::make_shared<CachedPlan>();
     entry->num_clbits = circuit.num_clbits();
-
-    const bool has_measure = std::any_of(
-        circuit.gates().begin(), circuit.gates().end(),
-        [](const qc::Gate& g) { return g.kind == qc::GateKind::MEASURE; });
-    const bool has_reset = std::any_of(
-        circuit.gates().begin(), circuit.gates().end(),
-        [](const qc::Gate& g) { return g.kind == qc::GateKind::RESET; });
-    entry->sampled_mode = request.noise.channels().empty() && !has_reset &&
-                          (!has_measure || measurements_trailing(circuit));
+    entry->sampled_mode = key.sampled_mode;
 
     if (entry->sampled_mode) {
       // Prepare-once-sample-many: strip the trailing measures and compile

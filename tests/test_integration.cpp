@@ -116,7 +116,7 @@ TEST(Integration, MeasuredHostKernelAgreesWithHostModelShape) {
   auto time_target = [&](unsigned t) {
     Timer timer;
     for (int rep = 0; rep < 4; ++rep)
-      sv::apply_h(svec.data(), n, t, svec.pool());
+      sv::apply_gate(svec, qc::Gate::h(t));
     return timer.seconds();
   };
   const double t_low = time_target(0);

@@ -121,7 +121,7 @@ TEST(KernelVariant, PairwiseMatchesRunBlocked) {
       apply_gate(a, qc::Gate::t(q));
       apply_gate(b, qc::Gate::t(q));
     }
-    apply_matrix1(a.data(), n, t, u, a.pool());
+    apply_gate(a, qc::Gate::unitary({t}, u));
     apply_matrix1_pairwise(b.data(), n, t, u, b.pool());
     // The two variants may contract FMAs differently; allow FP slack.
     const auto va = a.to_vector();

@@ -199,8 +199,8 @@ TEST(KernelInvariants, HTwiceIsIdentity) {
     StateVector<double> sv(n);
     std::vector<qc::cplx> ref;
     random_state(n, sv, ref, 3000 + t);
-    apply_h(sv.data(), n, t, sv.pool());
-    apply_h(sv.data(), n, t, sv.pool());
+    apply_gate(sv, qc::Gate::h(t));
+    apply_gate(sv, qc::Gate::h(t));
     const auto got = sv.to_vector();
     for (std::uint64_t i = 0; i < ref.size(); ++i)
       EXPECT_NEAR(std::abs(got[i] - ref[i]), 0.0, 1e-12);
@@ -255,8 +255,8 @@ TEST(KernelInvariants, MultithreadedMatchesSingleThreaded) {
   a.set_state(init);
   b.set_state(init);
   for (unsigned t = 0; t < n; ++t) {
-    apply_h(a.data(), n, t, pool1);
-    apply_h(b.data(), n, t, pool4);
+    apply_gate(a, qc::Gate::h(t));
+    apply_gate(b, qc::Gate::h(t));
     apply_gate(a, Gate::cx(t, (t + 1) % n));
     apply_gate(b, Gate::cx(t, (t + 1) % n));
   }

@@ -183,7 +183,8 @@ ProfiledRun profile_circuit(const qc::Circuit& circuit,
   profiler.install();
   sv::StateVector<double> state(circuit.num_qubits());
   sv::PlanHooks<double> hooks;
-  hooks.measure = [](sv::StateVector<double>&, const qc::Gate&) {};
+  hooks.measure = [](std::size_t, sv::StateVector<double>&,
+                     const qc::Gate&) {};
   const sv::EngineStats stats = sv::run_plan(state, plan, hooks);
   profiler.uninstall();
   const auto runs = profiler.runs();

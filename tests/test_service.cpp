@@ -675,6 +675,41 @@ TEST(ServeProtocol, MultiWorkerResultSetMatchesSingleWorker) {
   EXPECT_EQ(p1, p4);
 }
 
+TEST(ServeProtocol, ExecutionModeIsPartOfTheCacheKey) {
+  // A noisy job and its noiseless twin share circuit, machine and compile
+  // options, but one runs sampled and the other as trajectories. In either
+  // order, on one worker or four, each must come back exactly as it does
+  // alone on a fresh server — never in the mode of the plan its twin cached.
+  const std::string clean =
+      "{\"id\":\"clean\",\"qft\":5,\"shots\":64,\"options\":{\"seed\":7}}\n";
+  const std::string noisy =
+      "{\"id\":\"noisy\",\"qft\":5,\"shots\":64,\"options\":{\"seed\":7},"
+      "\"noise\":{\"depolarizing\":0.2}}\n";
+  auto session = [](const std::string& jobs, unsigned workers) {
+    svc::ServiceOptions opts;
+    opts.workers = workers;
+    svc::Service service(opts);
+    std::istringstream in(jobs);
+    std::ostringstream out;
+    svc::serve_session(in, out, service);
+    return payload_by_id(out.str());
+  };
+  std::map<std::string, std::string> alone = session(clean, 1);
+  alone.merge(session(noisy, 1));
+  ASSERT_EQ(alone.size(), 2u);
+  EXPECT_NE(alone["clean"].find("mode=sampled"), std::string::npos);
+  EXPECT_NE(alone["noisy"].find("mode=trajectory"), std::string::npos);
+  EXPECT_NE(alone["clean"].find(".s plan="), std::string::npos);
+  EXPECT_NE(alone["noisy"].find(".t plan="), std::string::npos);
+
+  for (unsigned workers : {1u, 4u}) {
+    EXPECT_EQ(session(clean + noisy, workers), alone)
+        << "noiseless first, workers=" << workers;
+    EXPECT_EQ(session(noisy + clean, workers), alone)
+        << "noisy first, workers=" << workers;
+  }
+}
+
 TEST(ServeProtocol, SummaryReportsWorkerBlock) {
   svc::ServiceOptions opts;
   opts.workers = 3;

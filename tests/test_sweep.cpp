@@ -8,10 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dist/dist_plan.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profile.hpp"
+#include "obs/trace.hpp"
 #include "qc/dense.hpp"
 #include "qc/library.hpp"
 #include "sv/engine.hpp"
@@ -175,6 +181,147 @@ TEST(RunPlan, RejectsMeasureWithoutHook) {
   po.block_qubits = 2;
   StateVector<double> state(4);
   EXPECT_THROW(run_plan(state, compile_plan(c, po)), Error);
+}
+
+TEST(RunPlan, RejectsNoiseHookOnSweptPlan) {
+  // Bit flip p=1 after every X undoes each X: |0000>. Gates inside a sweep
+  // have no per-gate boundary for the channel, so the executor must refuse
+  // the blocked plan rather than silently drop the noise (|1111>).
+  Circuit c(4);
+  for (unsigned q = 0; q < 4; ++q) c.x(q);
+  SimulatorOptions so;
+  so.noise.add_bit_flip(1.0);
+  Simulator<double> sim(so);
+
+  PlanOptions blocked;
+  blocked.blocking = true;
+  blocked.block_qubits = 2;
+  const ExecutionPlan swept = compile_plan(c, blocked);
+  ASSERT_TRUE(std::any_of(
+      swept.phases.begin(), swept.phases.end(),
+      [](const PlanPhase& p) { return p.kind == PhaseKind::LocalSweep; }));
+  StateVector<double> state(4);
+  EXPECT_THROW(sim.run_plan(state, swept), Error);
+
+  PlanHooks<double> hooks;
+  hooks.after_gate = [](std::size_t, StateVector<double>&, const Gate&) {};
+  EXPECT_THROW(run_plan(state, swept, hooks), Error);
+
+  StateVector<double> dense(4);
+  sim.run_plan(dense, compile_plan(c, PlanOptions{}));
+  EXPECT_NEAR(std::abs(dense.amplitude(0)), 1.0, 1e-12);
+  EXPECT_NEAR(std::abs(dense.amplitude(15)), 0.0, 1e-12);
+}
+
+class WideMatrixK : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(WideMatrixK, DenseAndBlockedPlansMatchReference) {
+  // One MatrixK width limit on both paths: a k-qubit unitary runs unblocked
+  // and inside a sweep with block_qubits = 10.
+  const unsigned k = GetParam();
+  const unsigned n = 11;
+  Xoshiro256 rng(90 + k);
+  qc::Matrix u = qc::Matrix::random_unitary(2, rng);
+  for (unsigned i = 1; i < k; ++i)
+    u = qc::Matrix::random_unitary(2, rng).kron(u);
+  std::vector<unsigned> qs;
+  for (unsigned i = 0; i < k; ++i) qs.push_back((i * 7) % 10);
+  Circuit c(n);
+  for (unsigned q = 0; q < n; ++q) c.h(q).t(q);
+  c.append(Gate::unitary(qs, u));
+  const auto want = qc::dense::run(c);
+
+  PlanOptions blocked;
+  blocked.blocking = true;
+  blocked.block_qubits = 10;
+  for (const PlanOptions& po : {PlanOptions{}, blocked}) {
+    const ExecutionPlan plan = compile_plan(c, po);
+    StateVector<double> state(n);
+    run_plan(state, plan);
+    const auto got = state.to_vector();
+    double dist = 0.0;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      dist = std::max(dist, std::abs(got[i] - want[i]));
+    EXPECT_LT(dist, 1e-10) << "k=" << k << " blocking=" << po.blocking;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, WideMatrixK, ::testing::Values(9u, 10u));
+
+TEST(RunPlan, SingleStateIsABatchOfOne) {
+  // One plan holding all four phase kinds, executed once by run_plan and
+  // once as a batch of one, each against a fresh registry, tracer and
+  // profiler: the two runs must be indistinguishable.
+  qc::Circuit c = qc::qft(6);
+  c.measure_all();
+  dist::DistExecOptions dopts;
+  dopts.plan.blocking = true;
+  dopts.plan.block_qubits = 2;
+  const ExecutionPlan plan = dist::compile_distributed(c, 2, dopts);
+  for (PhaseKind kind : {PhaseKind::LocalSweep, PhaseKind::DenseGate,
+                         PhaseKind::Exchange, PhaseKind::MeasureFlush}) {
+    ASSERT_TRUE(std::any_of(
+        plan.phases.begin(), plan.phases.end(),
+        [kind](const PlanPhase& p) { return p.kind == kind; }));
+  }
+
+  struct Run {
+    std::vector<qc::cplx> amps;
+    EngineStats stats;
+    std::string counters;
+    std::size_t spans = 0;
+    std::size_t profiled_runs = 0;
+  };
+  auto run = [&](std::size_t batch, bool single) {
+    obs::MetricsRegistry registry;
+    obs::Tracer tracer;
+    tracer.enable();
+    obs::Profiler profiler;
+    ExecutionContext ctx;
+    ctx.with_metrics(registry).with_tracer(tracer).with_profiler(&profiler);
+    Xoshiro256 rng(17);
+    PlanHooks<double> hooks;
+    hooks.measure = [&rng](std::size_t, StateVector<double>& s,
+                           const Gate& g) { s.measure(g.qubits[0], rng); };
+    std::vector<StateVector<double>> states;
+    for (std::size_t i = 0; i < batch; ++i) states.emplace_back(6);
+    std::vector<StateVector<double>*> ptrs;
+    for (auto& s : states) ptrs.push_back(&s);
+    Run r;
+    r.stats = single ? run_plan(states[0], plan, hooks, ctx)
+                     : run_plan_batch(ptrs, plan, hooks, ctx);
+    r.amps = states[0].to_vector();
+    std::ostringstream json;
+    registry.write_json(json);
+    r.counters = json.str();
+    r.spans = tracer.collect().size();
+    r.profiled_runs = profiler.runs_recorded();
+    return r;
+  };
+
+  const Run one = run(1, /*single=*/true);
+  const Run batch_of_one = run(1, /*single=*/false);
+  EXPECT_EQ(one.amps, batch_of_one.amps);
+  EXPECT_EQ(one.stats.sweeps, batch_of_one.stats.sweeps);
+  EXPECT_EQ(one.stats.blocked_gates, batch_of_one.stats.blocked_gates);
+  EXPECT_EQ(one.stats.passthrough_gates,
+            batch_of_one.stats.passthrough_gates);
+  EXPECT_EQ(one.stats.traversals, batch_of_one.stats.traversals);
+  EXPECT_EQ(one.stats.exchanges, batch_of_one.stats.exchanges);
+  EXPECT_EQ(one.stats.measure_ops, batch_of_one.stats.measure_ops);
+  EXPECT_EQ(one.stats.bytes_streamed, batch_of_one.stats.bytes_streamed);
+  for (const char* name : {"\"plan.executions\"", "\"sv.sweeps\"",
+                           "\"sv.sweep_gates\"", "\"sv.simd.dispatch."})
+    EXPECT_NE(one.counters.find(name), std::string::npos) << name;
+  EXPECT_EQ(one.counters, batch_of_one.counters);
+  EXPECT_GT(one.spans, 0u);
+  EXPECT_EQ(one.spans, batch_of_one.spans);
+  EXPECT_EQ(one.profiled_runs, 1u);
+  EXPECT_EQ(batch_of_one.profiled_runs, 1u);
+
+  // Profiler samples describe one state's traversal: a real batch records
+  // none.
+  EXPECT_EQ(run(4, /*single=*/false).profiled_runs, 0u);
 }
 
 TEST(EngineStats, GatesPerTraversalCountsBothPaths) {

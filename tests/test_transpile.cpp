@@ -10,6 +10,11 @@
 #include "qc/library.hpp"
 
 namespace svsim::qc {
+
+// Print parameterized Gate cases by mnemonic and operands so test names are
+// stable; gtest's default raw-byte dump includes heap addresses.
+void PrintTo(const Gate& g, std::ostream* os) { *os << g.to_string(); }
+
 namespace {
 
 double unitary_error(const Circuit& a, const Circuit& b) {
