@@ -1,10 +1,11 @@
 // SIMD backend comparison: every available kernel backend × precision ×
-// hand-vectorized KernelClass, measured as achieved GB/s on one serial
-// cache-block application (the unit the blocked engine dispatches). The
-// scalar backend rows are the reference the speedup records divide by;
-// regenerate_results.sh asserts the records exist and, on an AVX2 host,
-// that the hand-vectorized f32 Hadamard and Matrix1 kernels beat scalar
-// by the target factor.
+// vectorized KernelClass, measured as achieved GB/s on one serial
+// cache-block application (the unit the blocked engine dispatches) and,
+// in the ".dense" rows, on the whole-state path (apply_prepared split
+// across the pool). The scalar backend rows are the reference the speedup
+// records divide by; regenerate_results.sh asserts the records exist and,
+// on an AVX2 host, that the vectorized f32 Hadamard and Matrix1 kernels
+// beat scalar by the target factor.
 #include "bench_util.hpp"
 
 #include <map>
@@ -25,7 +26,9 @@ struct ClassCase {
 
 /// Low targets on purpose: t < lanes is where the in-register swizzle
 /// kernels earn their keep and where `-march=native` auto-vectorization of
-/// the scalar loops fails (runs shorter than a vector).
+/// the scalar loops fails (runs shorter than a vector). The permutations
+/// put their lowest operand on q0 (CX q0,q1 blends lanes; SWAP q0,q5 swaps
+/// lanes across vectors).
 std::vector<ClassCase> class_cases() {
   Xoshiro256 rng(7);
   return {
@@ -33,12 +36,17 @@ std::vector<ClassCase> class_cases() {
       {"diag1", qc::Gate::rz(0, 1.13)},
       {"matrix1", qc::Gate::u(0, 0.3, 0.7, 1.9)},
       {"matrix2", qc::Gate::u2q(2, 5, qc::Matrix::random_unitary(4, rng))},
+      {"permx", qc::Gate::x(0)},
+      {"mcx", qc::Gate::cx(0, 1)},
+      {"permswap", qc::Gate::swap(0, 5)},
   };
 }
 
+/// `dense`: the whole-state path on the state's pool; else one serial
+/// block application.
 template <typename T>
 double measure_class(BenchContext& ctx, const std::string& id,
-                     const ClassCase& c, unsigned n) {
+                     const ClassCase& c, unsigned n, bool dense) {
   sv::StateVector<T> state(n);
   bench::spread_amplitudes(state);
   const sv::PreparedGate<T> pg = sv::prepare_gate<T>(c.gate);
@@ -46,7 +54,14 @@ double measure_class(BenchContext& ctx, const std::string& id,
   BenchContext::MeasureOpts mo;
   mo.model_bytes = bytes;
   const auto st = ctx.measure(
-      id, [&] { sv::apply_gate_in_block(state.data(), n, pg); }, mo);
+      id,
+      [&] {
+        if (dense)
+          sv::apply_prepared(state.data(), n, pg, state.pool());
+        else
+          sv::apply_gate_in_block(state.data(), n, pg);
+      },
+      mo);
   return st.median;
 }
 
@@ -69,24 +84,28 @@ SVSIM_BENCH(simd_kernels, "SIMD kernels",
   const double bytes_f64 = static_cast<double>(pow2(n)) * 32;
   const double bytes_f32 = static_cast<double>(pow2(n)) * 16;
 
-  std::map<std::string, double> medians;  // "<isa>.<class>.<prec>" -> s
+  // "<isa>.<class>[.dense].<prec>" -> s
+  std::map<std::string, double> medians;
   for (const auto& b : sv::simd::backends()) {
     if (!b.available) continue;
     sv::simd::select_backend(b.isa);
     for (const ClassCase& c : cases) {
-      const std::string base = std::string(b.name) + "." + c.name;
-      medians[base + ".f64"] =
-          measure_class<double>(ctx, base + ".f64", c, n);
-      medians[base + ".f32"] = measure_class<float>(ctx, base + ".f32", c, n);
-      for (const char* prec : {"f64", "f32"}) {
-        const double med = medians[base + "." + prec];
-        const double scalar_med =
-            medians[std::string("scalar.") + c.name + "." + prec];
-        const double bytes = prec == std::string("f64") ? bytes_f64
-                                                        : bytes_f32;
-        t.add_row({b.name, c.name, prec, med * 1e6,
-                   bench::measured_bandwidth_gbps(bytes, med),
-                   scalar_med > 0.0 && med > 0.0 ? scalar_med / med : 0.0});
+      for (const bool dense : {false, true}) {
+        const std::string cls = std::string(c.name) + (dense ? ".dense" : "");
+        const std::string base = std::string(b.name) + "." + cls;
+        medians[base + ".f64"] =
+            measure_class<double>(ctx, base + ".f64", c, n, dense);
+        medians[base + ".f32"] =
+            measure_class<float>(ctx, base + ".f32", c, n, dense);
+        for (const char* prec : {"f64", "f32"}) {
+          const double med = medians[base + "." + prec];
+          const double scalar_med = medians["scalar." + cls + "." + prec];
+          const double bytes = prec == std::string("f64") ? bytes_f64
+                                                          : bytes_f32;
+          t.add_row({b.name, cls, prec, med * 1e6,
+                     bench::measured_bandwidth_gbps(bytes, med),
+                     scalar_med > 0.0 && med > 0.0 ? scalar_med / med : 0.0});
+        }
       }
     }
   }

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -73,8 +74,8 @@ constexpr std::uint64_t insert_zero_bit(std::uint64_t v, unsigned pos) noexcept 
 /// Expands `v` by inserting zero bits at each position in `sorted_positions`
 /// (which must be strictly ascending). Enumerates indices whose bits at all
 /// the given positions are clear — the k-qubit kernel iteration.
-inline std::uint64_t insert_zero_bits(std::uint64_t v,
-                                      const std::vector<unsigned>& sorted_positions) noexcept {
+inline std::uint64_t insert_zero_bits(
+    std::uint64_t v, std::span<const unsigned> sorted_positions) noexcept {
   for (unsigned p : sorted_positions) v = insert_zero_bit(v, p);
   return v;
 }

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-
 #include "common/threading.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -9,24 +7,9 @@
 
 namespace svsim {
 
-/// Resolved execution configuration carried by an ExecutionContext. Plain
-/// numbers rather than layer types: obs sits below sv, so the SIMD ISA is
-/// stored as its raw enumerator value (sv/simd pins the correspondence with
-/// a static_assert) and precision as the amplitude component width in bytes.
-struct ContextConfig {
-  /// Raw sv::simd::Isa value of the backend this context expects, or -1 to
-  /// use whatever backend is active process-wide.
-  int simd_isa = -1;
-  /// Amplitude component width: 4 (f32) or 8 (f64).
-  unsigned element_bytes = 8;
-  /// Per-plan cache budget in bytes; 0 resolves per plan from the machine
-  /// spec (sv::plan_cache_budget).
-  std::uint64_t cache_budget_bytes = 0;
-};
-
 /// Bundles the execution-scoped services the stack used to reach for via
 /// process-wide singletons: a metrics registry, a tracer, an optional
-/// profiler hook, a ThreadPool slice, and the resolved numeric config.
+/// profiler hook, and a ThreadPool slice.
 ///
 /// A default-constructed context resolves every service to the process-wide
 /// singleton (`MetricsRegistry::global()`, `Tracer::global()`,
@@ -74,8 +57,6 @@ class ExecutionContext {
     return pool_ != nullptr ? *pool_ : ThreadPool::global();
   }
 
-  const ContextConfig& config() const noexcept { return config_; }
-
   ExecutionContext& with_metrics(obs::MetricsRegistry& registry) noexcept {
     metrics_ = &registry;
     return *this;
@@ -93,10 +74,6 @@ class ExecutionContext {
     pool_ = &pool;
     return *this;
   }
-  ExecutionContext& with_config(const ContextConfig& config) noexcept {
-    config_ = config;
-    return *this;
-  }
 
   /// The process-default context: every service resolves to the singleton.
   static const ExecutionContext& global() noexcept;
@@ -107,7 +84,6 @@ class ExecutionContext {
   obs::Profiler* profiler_ = nullptr;
   bool follow_installed_profiler_ = true;
   ThreadPool* pool_ = nullptr;
-  ContextConfig config_;
 };
 
 }  // namespace svsim

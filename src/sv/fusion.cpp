@@ -113,7 +113,7 @@ void flush(Group& group, Circuit& out, const FusionOptions& options) {
 }  // namespace
 
 Circuit fuse(const Circuit& circuit, const FusionOptions& options) {
-  require(options.max_width >= 1 && options.max_width <= 6,
+  require(options.max_width >= 1 && options.max_width <= kMaxFusionWidth,
           "fusion max_width must be in 1..6");
   obs::ScopedSpan span("fuse", obs::SpanCategory::Fusion);
   Circuit out(circuit.num_qubits(), circuit.num_clbits());

@@ -17,8 +17,12 @@ class MetricsRegistry;
 
 namespace svsim::sv {
 
+/// Widest fused group the pass accepts.
+inline constexpr unsigned kMaxFusionWidth = 6;
+
 struct FusionOptions {
-  /// Maximum number of distinct qubits per fused group (2..6 useful).
+  /// Maximum number of distinct qubits per fused group, 1..kMaxFusionWidth
+  /// (2..6 useful).
   unsigned max_width = 3;
   /// Groups that remain a single gate pass through unchanged.
   /// Diagonal-only groups are emitted as DIAG gates (cheaper kernel).

@@ -2,11 +2,11 @@
 //
 // One scalar kernel per KernelClass, shared by the whole-state path
 // (apply_gate -> apply_prepared) and the cache-blocked sweep engine. Each
-// kernel streams its range once. The 1-qubit iteration is written as
-// (block, contiguous-run) loops rather than a per-pair index computation so
-// the inner loop is a unit-stride sweep the compiler can vectorize; for a
-// target qubit t the contiguous run length is 2^t, which is exactly the
-// low-target SIMD-efficiency effect the A64FX performance model captures.
+// kernel streams its range once in (operand subspace, contiguous-run)
+// loops rather than a per-amplitude index computation, so the inner loop
+// is a unit-stride sweep; its length 2^(lowest operand qubit) is exactly
+// the low-target SIMD-efficiency effect the A64FX performance model
+// captures.
 //
 // Index conventions match qc::Gate: for a k-qubit kernel, qs[0] is the least
 // significant bit of the matrix index.
@@ -14,8 +14,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <complex>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,12 +32,16 @@ namespace svsim::sv {
 
 namespace detail {
 
-/// Splits the pair-counter space [begin, end) of a 1-qubit kernel on target
-/// `t` into contiguous runs: body(i0, len) must process lower indices
-/// [i0, i0+len) with partners at +2^t.
+/// The run iterator: splits the outer-index range [begin, end) of a kernel
+/// whose operand bits are `sorted` (ascending, non-empty) into contiguous
+/// runs. Consecutive indices c map to consecutive amplitudes
+/// insert_zero_bits(c, sorted) up to the next multiple of 2^sorted[0], so a
+/// run holds at most 2^sorted[0] indices. body(base, len) processes
+/// amplitudes [base, base+len), every operand bit clear. The
+/// single-operand form is the same walk on bit t.
 template <typename Body>
-inline void for_pair_runs(std::uint64_t begin, std::uint64_t end, unsigned t,
-                          Body&& body) {
+inline void for_runs(std::uint64_t begin, std::uint64_t end, unsigned t,
+                     Body&& body) {
   const std::uint64_t stride = pow2(t);
   std::uint64_t c = begin;
   while (c < end) {
@@ -45,6 +52,37 @@ inline void for_pair_runs(std::uint64_t begin, std::uint64_t end, unsigned t,
     body(base, run);
     c += run;
   }
+}
+
+template <typename Body>
+inline void for_runs(std::uint64_t begin, std::uint64_t end,
+                     std::span<const unsigned> sorted, Body&& body) {
+  const std::uint64_t run_len = pow2(sorted[0]);
+  std::uint64_t mask = 0;
+  for (unsigned q : sorted) mask |= pow2(q);
+  std::uint64_t base = insert_zero_bits(begin, sorted);
+  for (std::uint64_t c = begin; c < end;) {
+    const std::uint64_t run =
+        std::min(end - c, run_len - (c & (run_len - 1)));
+    body(base, run);
+    c += run;
+    // The next amplitude with every operand bit clear.
+    base = (((base + run - 1) | mask) + 1) & ~mask;
+  }
+}
+
+/// x * y with the rounding pinned. GCC fuses the f64 complex product on
+/// whichever operand SSA order puts first, which a loop restructuring can
+/// flip; this form fixes the fused products at x.re*y.re and x.re*y.im on
+/// FMA targets. The f32 product stays unfused in these loops.
+template <typename T>
+inline std::complex<T> fused_mul(std::complex<T> x, std::complex<T> y) {
+#ifdef FP_FAST_FMA
+  if constexpr (std::is_same_v<T, double>)
+    return {std::fma(x.real(), y.real(), -(x.imag() * y.imag())),
+            std::fma(x.real(), y.imag(), x.imag() * y.real())};
+#endif
+  return x * y;
 }
 
 /// Converts a qc::Matrix entry to the kernel precision.
@@ -86,10 +124,12 @@ void apply_matrix1_pairwise(std::complex<T>* psi, unsigned n, unsigned t,
 
 // ---- the kernel family and its dispatch tables ------------------------------
 //
-// One scalar kernel per KernelClass serves both execution paths. Each kernel
-// takes an outer-index range [begin, end) over its own loop space on a
-// 2^nb-amplitude array; work_items(pg, nb) is the size of that space. The
-// kernel contract (documented in docs/ARCHITECTURE.md):
+// One kernel table per backend and precision serves both execution paths:
+// the scalar family below (range_kernels) and the SIMD backends' tables
+// derived from it (sv/simd). Each kernel takes an outer-index range
+// [begin, end) over its own loop space on a 2^nb-amplitude array;
+// work_items(pg, nb) is the size of that space. The kernel contract
+// (documented in docs/ARCHITECTURE.md):
 //
 //  * Operands: every operand qubit of the gate is < nb. The whole-state
 //    path (apply_prepared) passes nb = n; the cache-blocked engine
@@ -100,12 +140,14 @@ void apply_matrix1_pairwise(std::complex<T>* psi, unsigned n, unsigned t,
 //    parallel_for over blocks (statically partitioned so each worker streams
 //    the pages it first-touched) and runs each kernel over its full range.
 //    A kernel must never re-enter the pool.
+//  * Partition invariance: an amplitude gets the same arithmetic wherever
+//    a range boundary falls, so results depend neither on the pool size
+//    nor on dense vs blocked execution.
 //  * Coefficients: pre-cast once into PreparedGate<T> — the kernel loop does
 //    no matrix conversion or allocation (MatrixK uses a fixed stack scratch,
 //    hence its k <= kMaxMatrixK limit on both paths).
-//  * Dispatch: one indirect call per (gate, range) through the ranged table
-//    (whole-state path) or per (gate, block) through block_kernel_table<T>()
-//    or a SIMD backend's table, indexed by KernelClass.
+//  * Dispatch: one indirect call per (gate, range) or (gate, block) through
+//    active_kernels<T>(), indexed by KernelClass.
 //  * Rounding: with FMA contraction on, which partial product of a complex
 //    multiply the compiler fuses depends on the operand order and on where
 //    each operand is loaded from, and that decides the last bit of the
@@ -165,6 +207,13 @@ struct PreparedGate {
   std::vector<std::uint64_t> offs;  ///< MatrixK sub-index scatter offsets
 };
 
+/// Ranged kernel signature: apply to outer indices [begin, end) of the
+/// kernel's loop space over 2^nb amplitudes (detail::blk::work_items).
+template <typename T>
+using RangeKernelFn = void (*)(std::complex<T>*, unsigned nb,
+                               const PreparedGate<T>&, std::uint64_t begin,
+                               std::uint64_t end);
+
 namespace detail::blk {
 
 /// Highest operand qubit + 1 (0 for operand-free gates): the minimum block
@@ -202,7 +251,7 @@ void bk_perm_x(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
                std::uint64_t begin, std::uint64_t end) {
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     for (std::uint64_t j = 0; j < run; ++j) std::swap(lo[j], hi[j]);
@@ -214,7 +263,7 @@ void bk_perm_y(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
                std::uint64_t begin, std::uint64_t end) {
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     for (std::uint64_t j = 0; j < run; ++j) {
@@ -232,7 +281,7 @@ void bk_hadamard(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
   const T inv_sqrt2 = static_cast<T>(0.70710678118654752440);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     for (std::uint64_t j = 0; j < run; ++j) {
@@ -254,7 +303,7 @@ void bk_diag1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
   const bool skip_lower = (f[0] == std::complex<T>{T{1}, T{0}});
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     if (skip_lower) {
@@ -274,7 +323,7 @@ void bk_matrix1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
   const std::complex<T>* m = pg.coeff.data();
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     std::complex<T>* lo = psi + base;
     std::complex<T>* hi = psi + base + stride;
     for (std::uint64_t j = 0; j < run; ++j) {
@@ -291,10 +340,11 @@ template <typename T>
 void bk_mcx(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
             std::uint64_t begin, std::uint64_t end) {
   const std::uint64_t tbit = pow2(pg.target);
-  for (std::uint64_t c = begin; c < end; ++c) {
-    const std::uint64_t i0 = insert_zero_bits(c, pg.sorted) | pg.cmask;
-    std::swap(psi[i0], psi[i0 | tbit]);
-  }
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
+    std::complex<T>* lo = psi + (base | pg.cmask);
+    std::complex<T>* hi = lo + tbit;
+    for (std::uint64_t j = 0; j < run; ++j) std::swap(lo[j], hi[j]);
+  });
 }
 
 template <typename T>
@@ -302,14 +352,16 @@ void bk_ctrl_matrix1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
                      std::uint64_t begin, std::uint64_t end) {
   const std::complex<T>* m = pg.coeff.data();
   const std::uint64_t tbit = pow2(pg.target);
-  for (std::uint64_t c = begin; c < end; ++c) {
-    const std::uint64_t i0 = insert_zero_bits(c, pg.sorted) | pg.cmask;
-    const std::uint64_t i1 = i0 | tbit;
-    const std::complex<T> a0 = psi[i0];
-    const std::complex<T> a1 = psi[i1];
-    psi[i0] = m[0] * a0 + m[1] * a1;
-    psi[i1] = m[2] * a0 + m[3] * a1;
-  }
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
+    for (std::uint64_t i = base; i < base + run; ++i) {
+      const std::uint64_t i0 = i | pg.cmask;
+      const std::uint64_t i1 = i0 | tbit;
+      const std::complex<T> a0 = psi[i0];
+      const std::complex<T> a1 = psi[i1];
+      psi[i0] = m[0] * a0 + m[1] * a1;
+      psi[i1] = m[2] * a0 + m[3] * a1;
+    }
+  });
 }
 
 template <typename T>
@@ -317,13 +369,13 @@ void bk_ctrl_diag1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
                    std::uint64_t begin, std::uint64_t end) {
   const std::complex<T>* f = pg.coeff.data();
   const std::uint64_t tbit = pow2(pg.target);
-  for (std::uint64_t c = begin; c < end; ++c) {
-    const std::uint64_t i0 = insert_zero_bits(c, pg.sorted) | pg.cmask;
-    const std::complex<T> f0 = f[0];
-    psi[i0] = f0 * psi[i0];
-    const std::complex<T> f1 = f[1];
-    psi[i0 | tbit] = f1 * psi[i0 | tbit];
-  }
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
+    for (std::uint64_t i = base; i < base + run; ++i) {
+      const std::uint64_t i0 = i | pg.cmask;
+      psi[i0] = fused_mul(f[0], psi[i0]);
+      psi[i0 | tbit] = fused_mul(f[1], psi[i0 | tbit]);
+    }
+  });
 }
 
 /// Multiplies the single amplitude subset where every operand (controls AND
@@ -331,18 +383,21 @@ void bk_ctrl_diag1(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
 template <typename T>
 void bk_mc_phase(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
                  std::uint64_t begin, std::uint64_t end) {
-  for (std::uint64_t c = begin; c < end; ++c)
-    psi[insert_zero_bits(c, pg.sorted) | pg.mask] *= pg.coeff[0];
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
+    for (std::uint64_t i = base; i < base + run; ++i)
+      psi[i | pg.mask] = fused_mul(pg.coeff[0], psi[i | pg.mask]);
+  });
 }
 
 template <typename T>
 void bk_perm_swap(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
                   std::uint64_t begin, std::uint64_t end) {
   const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
-  for (std::uint64_t c = begin; c < end; ++c) {
-    const std::uint64_t base = insert_zero_bits(c, pg.sorted);
-    std::swap(psi[base | b0], psi[base | b1]);
-  }
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
+    std::complex<T>* lo = psi + (base | b0);
+    std::complex<T>* hi = psi + (base | b1);
+    for (std::uint64_t j = 0; j < run; ++j) std::swap(lo[j], hi[j]);
+  });
 }
 
 /// General 4x4 on (qubits[0], qubits[1]) with qubits[0] the matrix LSB.
@@ -351,16 +406,18 @@ void bk_matrix2(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
                 std::uint64_t begin, std::uint64_t end) {
   const std::complex<T>* m = pg.coeff.data();
   const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
-  for (std::uint64_t c = begin; c < end; ++c) {
-    const std::uint64_t base = insert_zero_bits(c, pg.sorted);
-    const std::uint64_t i[4] = {base, base | b0, base | b1, base | b0 | b1};
-    const std::complex<T> a0 = psi[i[0]], a1 = psi[i[1]], a2 = psi[i[2]],
-                          a3 = psi[i[3]];
-    psi[i[0]] = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
-    psi[i[1]] = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
-    psi[i[2]] = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
-    psi[i[3]] = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
-  }
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
+    for (std::uint64_t b = base; b < base + run; ++b) {
+      const std::uint64_t i[4] = {b, b | b0, b | b1, b | b0 | b1};
+      const std::complex<T> a0 = psi[i[0]], a1 = psi[i[1]], a2 = psi[i[2]],
+                            a3 = psi[i[3]];
+      for (std::size_t r = 0; r < 4; ++r) {
+        const std::complex<T>* row = m + 4 * r;
+        psi[i[r]] = fused_mul(a0, row[0]) + fused_mul(a1, row[1]) +
+                    fused_mul(a2, row[2]) + fused_mul(a3, row[3]);
+      }
+    }
+  });
 }
 
 template <typename T>
@@ -389,16 +446,17 @@ void bk_matrix_k(std::complex<T>* psi, unsigned, const PreparedGate<T>& pg,
                  std::uint64_t begin, std::uint64_t end) {
   const std::uint64_t sub = pow2(static_cast<unsigned>(pg.qubits.size()));
   std::array<std::complex<T>, pow2(kMaxMatrixK)> in;
-  for (std::uint64_t c = begin; c < end; ++c) {
-    const std::uint64_t base = insert_zero_bits(c, pg.sorted);
-    for (std::uint64_t s = 0; s < sub; ++s) in[s] = psi[base | pg.offs[s]];
-    for (std::uint64_t r = 0; r < sub; ++r) {
-      std::complex<T> acc{};
-      const std::complex<T>* row = pg.coeff.data() + r * sub;
-      for (std::uint64_t s = 0; s < sub; ++s) acc += in[s] * row[s];
-      psi[base | pg.offs[r]] = acc;
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
+    for (std::uint64_t i = base; i < base + run; ++i) {
+      for (std::uint64_t s = 0; s < sub; ++s) in[s] = psi[i | pg.offs[s]];
+      for (std::uint64_t r = 0; r < sub; ++r) {
+        std::complex<T> acc{};
+        const std::complex<T>* row = pg.coeff.data() + r * sub;
+        for (std::uint64_t s = 0; s < sub; ++s) acc += in[s] * row[s];
+        psi[i | pg.offs[r]] = acc;
+      }
     }
-  }
+  });
 }
 
 template <typename T>
@@ -407,14 +465,8 @@ void bk_unsupported(std::complex<T>*, unsigned, const PreparedGate<T>&,
   throw Error("block kernel: MEASURE/RESET are not block-local");
 }
 
-/// Ranged kernel signature: apply to outer indices [begin, end) of the
-/// kernel's loop space over 2^nb amplitudes.
-template <typename T>
-using RangeKernelFn = void (*)(std::complex<T>*, unsigned nb,
-                               const PreparedGate<T>&, std::uint64_t begin,
-                               std::uint64_t end);
-
-/// The scalar kernel family, indexed by KernelClass.
+/// The scalar kernel family, indexed by KernelClass: the portable
+/// reference every SIMD backend table starts from.
 template <typename T>
 inline constexpr std::array<RangeKernelFn<T>, kNumKernelClasses>
     range_kernels = {
@@ -426,50 +478,22 @@ inline constexpr std::array<RangeKernelFn<T>, kNumKernelClasses>
         &bk_unsupported<T>,
 };
 
-/// The scalar kernel of class C over its full range: the whole-block form
-/// the dispatch tables hold and SIMD backends fall back to.
-template <typename T, KernelClass C>
-void full_range(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
-  range_kernels<T>[static_cast<std::size_t>(C)](psi, nb, pg, 0,
-                                                work_items(pg, nb));
-}
-
 }  // namespace detail::blk
 
-/// Serial block-kernel signature: apply to block[0 .. 2^nb).
+/// The kernel table of the active SIMD backend: the backend's vectorized
+/// entries, scalar range_kernels everywhere else. Both execution paths
+/// dispatch through it. Defined in sv/simd/registry.cpp; the first call
+/// triggers runtime CPU detection / the SVSIM_SIMD override (see
+/// sv/simd/simd.hpp).
 template <typename T>
-using BlockKernelFn = void (*)(std::complex<T>*, unsigned nb,
-                               const PreparedGate<T>&);
-
-/// The portable scalar reference table, indexed by KernelClass: the ranged
-/// kernels over their full range. SIMD backends (sv/simd) derive their
-/// tables from this one, substituting hand-vectorized entries; it also
-/// serves as the equivalence oracle in tests.
-template <typename T>
-inline const std::array<BlockKernelFn<T>, kNumKernelClasses>&
-block_kernel_table() {
-  static const std::array<BlockKernelFn<T>, kNumKernelClasses> table =
-      []<std::size_t... C>(std::index_sequence<C...>) {
-        return std::array<BlockKernelFn<T>, kNumKernelClasses>{
-            &detail::blk::full_range<T, static_cast<KernelClass>(C)>...};
-      }(std::make_index_sequence<kNumKernelClasses>{});
-  return table;
-}
-
-/// The table of the active SIMD backend (scalar entries where the backend
-/// has no hand-vectorized kernel). Defined in sv/simd/registry.cpp; the
-/// first call triggers runtime CPU detection / the SVSIM_SIMD override
-/// (see sv/simd/simd.hpp).
-template <typename T>
-const std::array<BlockKernelFn<T>, kNumKernelClasses>&
-active_block_kernel_table();
+const std::array<RangeKernelFn<T>, kNumKernelClasses>& active_kernels();
 
 template <>
-const std::array<BlockKernelFn<float>, kNumKernelClasses>&
-active_block_kernel_table<float>();
+const std::array<RangeKernelFn<float>, kNumKernelClasses>&
+active_kernels<float>();
 template <>
-const std::array<BlockKernelFn<double>, kNumKernelClasses>&
-active_block_kernel_table<double>();
+const std::array<RangeKernelFn<double>, kNumKernelClasses>&
+active_kernels<double>();
 
 /// Resolves `g` for kernel application: classifies it and pre-casts every
 /// coefficient to precision T. Throws for MEASURE/RESET and for dense
@@ -480,30 +504,30 @@ PreparedGate<T> prepare_gate(const qc::Gate& g);
 extern template PreparedGate<float> prepare_gate<float>(const qc::Gate&);
 extern template PreparedGate<double> prepare_gate<double>(const qc::Gate&);
 
-/// Applies a prepared gate to a whole 2^n-amplitude state: the scalar
-/// kernel of its class over [0, work_items), split across `pool`.
+/// Applies a prepared gate to a whole 2^n-amplitude state: the active
+/// backend's kernel over [0, work_items), split across `pool`.
 /// Precondition: every operand qubit < n.
 template <typename T>
 inline void apply_prepared(std::complex<T>* psi, unsigned n,
                            const PreparedGate<T>& pg, ThreadPool& pool) {
   if (pg.cls == KernelClass::Nop) return;
-  const detail::blk::RangeKernelFn<T> kernel =
-      detail::blk::range_kernels<T>[static_cast<std::size_t>(pg.cls)];
+  const RangeKernelFn<T> kernel =
+      active_kernels<T>()[static_cast<std::size_t>(pg.cls)];
   pool.parallel_for(detail::blk::work_items(pg, n),
                     [=, &pg](unsigned, std::uint64_t b, std::uint64_t e) {
                       kernel(psi, n, pg, b, e);
                     });
 }
 
-/// Applies a prepared gate serially to one aligned block of 2^nb amplitudes
-/// through the active SIMD backend's table.
+/// Applies a prepared gate serially to one aligned block of 2^nb amplitudes:
+/// the active backend's kernel over its full range.
 /// Precondition (the kernel contract): every operand qubit < nb.
 template <typename T>
 inline void apply_gate_in_block(std::complex<T>* block, unsigned nb,
                                 const PreparedGate<T>& pg) {
   SVSIM_ASSERT(detail::blk::min_block_qubits(pg) <= nb);
-  active_block_kernel_table<T>()[static_cast<std::size_t>(pg.cls)](block, nb,
-                                                                  pg);
+  active_kernels<T>()[static_cast<std::size_t>(pg.cls)](
+      block, nb, pg, 0, detail::blk::work_items(pg, nb));
 }
 
 }  // namespace svsim::sv

@@ -40,7 +40,7 @@ void apply_amplitude_damping(StateVector<T>& state,
   // retargeted to each qubit.
   PreparedGate<T> k0;
   k0.cls = KernelClass::Diag1;
-  k0.sorted = {0};
+  k0.qubits = k0.sorted = {0};
   k0.coeff = {T{1}, static_cast<T>(std::sqrt(1.0 - gamma))};
   for (unsigned q : qubits) {
     const double p1 = state.probability_of_one(q);
@@ -61,7 +61,8 @@ void apply_amplitude_damping(StateVector<T>& state,
           });
     } else {
       // Apply K0, then renormalize by the no-jump probability 1 - γ·p1.
-      k0.target = k0.sorted[0] = q;
+      k0.target = k0.qubits[0] = k0.sorted[0] = q;
+      k0.mask = pow2(q);
       apply_prepared(psi, n, k0, state.pool());
       const double p_nojump = 1.0 - p_jump;
       const T scale = static_cast<T>(1.0 / std::sqrt(p_nojump));

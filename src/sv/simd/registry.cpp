@@ -8,24 +8,17 @@
 #include <vector>
 
 #include "machine/cpu_features.hpp"
-#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "sv/simd/backend_tables.hpp"
 #include "sv/simd/simd.hpp"
 
 namespace svsim::sv::simd {
 
-// ContextConfig carries the backend as the raw Isa value (obs sits below
-// sv and cannot see this enum); pin the encoding it relies on: enumerators
-// start at 0, so the -1 "use the active backend" sentinel never collides.
-static_assert(static_cast<int>(Isa::Scalar) == 0);
-static_assert(ContextConfig{}.simd_isa == -1);
-
 namespace {
 
 struct Tables {
-  std::array<BlockKernelFn<float>, kNumKernelClasses> f32;
-  std::array<BlockKernelFn<double>, kNumKernelClasses> f64;
+  std::array<RangeKernelFn<float>, kNumKernelClasses> f32;
+  std::array<RangeKernelFn<double>, kNumKernelClasses> f64;
 };
 
 struct Entry {
@@ -64,8 +57,8 @@ bool cpu_supports(Isa isa) {
 Entry make_entry(Isa isa) {
   Entry e;
   e.isa = isa;
-  e.tables.f32 = block_kernel_table<float>();
-  e.tables.f64 = block_kernel_table<double>();
+  e.tables.f32 = sv::detail::blk::range_kernels<float>;
+  e.tables.f64 = sv::detail::blk::range_kernels<double>;
   if (isa == Isa::Scalar) {
     e.compiled = true;
     e.available = true;
@@ -243,19 +236,34 @@ void count_dispatch(KernelClass cls, obs::MetricsRegistry& registry) {
 
 namespace svsim::sv {
 
-// The dispatch points kernels.hpp routes apply_gate_in_block through.
-// One relaxed atomic load per (gate, block) application; the unnamed-
-// namespace active_entry() is reachable here because this is its TU.
+template <typename T>
+void simd::detail::scalar_range(std::complex<T>* psi, unsigned nb,
+                                const PreparedGate<T>& pg, std::uint64_t begin,
+                                std::uint64_t end) {
+  sv::detail::blk::range_kernels<T>[static_cast<std::size_t>(pg.cls)](
+      psi, nb, pg, begin, end);
+}
+template void simd::detail::scalar_range(std::complex<float>*, unsigned,
+                                         const PreparedGate<float>&,
+                                         std::uint64_t, std::uint64_t);
+template void simd::detail::scalar_range(std::complex<double>*, unsigned,
+                                         const PreparedGate<double>&,
+                                         std::uint64_t, std::uint64_t);
+
+// The dispatch points both execution paths route through (kernels.hpp).
+// One relaxed atomic load per (gate, range) or (gate, block) application;
+// the unnamed-namespace active_entry() is reachable here because this is
+// its TU.
 
 template <>
-const std::array<BlockKernelFn<float>, kNumKernelClasses>&
-active_block_kernel_table<float>() {
+const std::array<RangeKernelFn<float>, kNumKernelClasses>&
+active_kernels<float>() {
   return simd::active_entry().tables.f32;
 }
 
 template <>
-const std::array<BlockKernelFn<double>, kNumKernelClasses>&
-active_block_kernel_table<double>() {
+const std::array<RangeKernelFn<double>, kNumKernelClasses>&
+active_kernels<double>() {
   return simd::active_entry().tables.f64;
 }
 

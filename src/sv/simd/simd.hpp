@@ -2,14 +2,13 @@
 
 // SIMD kernel backend registry with runtime CPU dispatch.
 //
-// Each backend is a full 16-entry KernelClass table per precision, built
-// from the portable scalar reference (`sv::block_kernel_table`) with the
-// hand-vectorized hot entries (Hadamard, Diag1, Matrix1, Matrix2)
-// substituted where the backend provides them. `apply_gate_in_block`
-// dispatches through `sv::active_block_kernel_table<T>()` (declared in
-// kernels.hpp, defined by this subsystem), so sweeps, run_plan,
-// run_plan_batch, and the svc service all inherit the selected backend
-// with zero call-site changes.
+// Each backend is a full 16-entry KernelClass table of ranged kernels per
+// precision: the portable scalar family (`sv::detail::blk::range_kernels`)
+// with the backend's vectorized entries substituted. Both `apply_prepared`
+// (whole-state gates) and `apply_gate_in_block` (sweeps) dispatch through
+// `sv::active_kernels<T>()` (declared in kernels.hpp, defined by this
+// subsystem), so apply_gate, run_plan, run_plan_batch, and the svc service
+// all inherit the selected backend with zero call-site changes.
 //
 // Selection order: explicit select_backend() call (the CLI `--simd`
 // option) > `SVSIM_SIMD` environment variable > runtime CPU detection

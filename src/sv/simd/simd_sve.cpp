@@ -8,7 +8,8 @@
 // length `run` complexes is 2*run adjacent scalars for both the lo and hi
 // streams, and whilelt masks the tail — short low-target runs simply
 // execute with partially-filled vectors, which is exactly the efficiency
-// cliff the paper measures. Complex multiply uses FCMLA (rotate 0 + 90),
+// cliff the paper measures. Predication also makes a range split anywhere
+// give the same bits. Complex multiply uses FCMLA (rotate 0 + 90),
 // which operates natively on interleaved re/im pairs; predicates stay
 // complex-aligned because SVE vector lengths are multiples of 128 bits.
 
@@ -25,7 +26,7 @@ namespace svsim::sv::simd::detail {
 
 namespace {
 
-using ::svsim::sv::detail::for_pair_runs;
+using ::svsim::sv::detail::for_runs;
 
 constexpr std::size_t idx(KernelClass c) { return static_cast<std::size_t>(c); }
 
@@ -41,18 +42,14 @@ inline svfloat32_t cmla_s(svbool_t m, svfloat32_t acc, svfloat32_t a,
   return svcmla_f32_x(m, svcmla_f32_x(m, acc, a, b, 0), a, b, 90);
 }
 
-template <typename T>
-void sve_hadamard(std::complex<T>* psi, unsigned nb,
-                  const PreparedGate<T>& pg);
-
-template <>
-void sve_hadamard<double>(std::complex<double>* psi, unsigned nb,
-                          const PreparedGate<double>& pg) {
+void sve_hadamard(std::complex<double>* psi, unsigned,
+                  const PreparedGate<double>& pg,
+                  std::uint64_t begin, std::uint64_t end) {
   const svfloat64_t vs = svdup_f64(0.70710678118654752440);
   double* p = reinterpret_cast<double*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
     double* lo = p + 2 * base;
     double* hi = lo + 2 * stride;
     const std::int64_t len = static_cast<std::int64_t>(2 * run);
@@ -67,15 +64,15 @@ void sve_hadamard<double>(std::complex<double>* psi, unsigned nb,
   });
 }
 
-template <>
-void sve_hadamard<float>(std::complex<float>* psi, unsigned nb,
-                         const PreparedGate<float>& pg) {
+void sve_hadamard(std::complex<float>* psi, unsigned,
+                  const PreparedGate<float>& pg,
+                  std::uint64_t begin, std::uint64_t end) {
   const svfloat32_t vs =
       svdup_f32(static_cast<float>(0.70710678118654752440));
   float* p = reinterpret_cast<float*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
     float* lo = p + 2 * base;
     float* hi = lo + 2 * stride;
     const std::int32_t len = static_cast<std::int32_t>(2 * run);
@@ -90,19 +87,16 @@ void sve_hadamard<float>(std::complex<float>* psi, unsigned nb,
   });
 }
 
-template <typename T>
-void sve_diag1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg);
-
-template <>
-void sve_diag1<double>(std::complex<double>* psi, unsigned nb,
-                       const PreparedGate<double>& pg) {
+void sve_diag1(std::complex<double>* psi, unsigned,
+               const PreparedGate<double>& pg,
+               std::uint64_t begin, std::uint64_t end) {
   const svfloat64_t f0 = svdupq_n_f64(pg.coeff[0].real(), pg.coeff[0].imag());
   const svfloat64_t f1 = svdupq_n_f64(pg.coeff[1].real(), pg.coeff[1].imag());
   const bool skip_lower = (pg.coeff[0] == std::complex<double>{1.0, 0.0});
   double* p = reinterpret_cast<double*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
     double* lo = p + 2 * base;
     double* hi = lo + 2 * stride;
     const std::int64_t len = static_cast<std::int64_t>(2 * run);
@@ -117,9 +111,9 @@ void sve_diag1<double>(std::complex<double>* psi, unsigned nb,
   });
 }
 
-template <>
-void sve_diag1<float>(std::complex<float>* psi, unsigned nb,
-                      const PreparedGate<float>& pg) {
+void sve_diag1(std::complex<float>* psi, unsigned,
+               const PreparedGate<float>& pg,
+               std::uint64_t begin, std::uint64_t end) {
   const svfloat32_t f0 = svdupq_n_f32(pg.coeff[0].real(), pg.coeff[0].imag(),
                                       pg.coeff[0].real(), pg.coeff[0].imag());
   const svfloat32_t f1 = svdupq_n_f32(pg.coeff[1].real(), pg.coeff[1].imag(),
@@ -128,7 +122,7 @@ void sve_diag1<float>(std::complex<float>* psi, unsigned nb,
   float* p = reinterpret_cast<float*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
     float* lo = p + 2 * base;
     float* hi = lo + 2 * stride;
     const std::int32_t len = static_cast<std::int32_t>(2 * run);
@@ -143,12 +137,9 @@ void sve_diag1<float>(std::complex<float>* psi, unsigned nb,
   });
 }
 
-template <typename T>
-void sve_matrix1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg);
-
-template <>
-void sve_matrix1<double>(std::complex<double>* psi, unsigned nb,
-                         const PreparedGate<double>& pg) {
+void sve_matrix1(std::complex<double>* psi, unsigned,
+                 const PreparedGate<double>& pg,
+                 std::uint64_t begin, std::uint64_t end) {
   const svfloat64_t m00 = svdupq_n_f64(pg.coeff[0].real(), pg.coeff[0].imag());
   const svfloat64_t m01 = svdupq_n_f64(pg.coeff[1].real(), pg.coeff[1].imag());
   const svfloat64_t m10 = svdupq_n_f64(pg.coeff[2].real(), pg.coeff[2].imag());
@@ -156,7 +147,7 @@ void sve_matrix1<double>(std::complex<double>* psi, unsigned nb,
   double* p = reinterpret_cast<double*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
     double* lo = p + 2 * base;
     double* hi = lo + 2 * stride;
     const std::int64_t len = static_cast<std::int64_t>(2 * run);
@@ -172,9 +163,9 @@ void sve_matrix1<double>(std::complex<double>* psi, unsigned nb,
   });
 }
 
-template <>
-void sve_matrix1<float>(std::complex<float>* psi, unsigned nb,
-                        const PreparedGate<float>& pg) {
+void sve_matrix1(std::complex<float>* psi, unsigned,
+                 const PreparedGate<float>& pg,
+                 std::uint64_t begin, std::uint64_t end) {
   const svfloat32_t m00 = svdupq_n_f32(pg.coeff[0].real(), pg.coeff[0].imag(),
                                        pg.coeff[0].real(), pg.coeff[0].imag());
   const svfloat32_t m01 = svdupq_n_f32(pg.coeff[1].real(), pg.coeff[1].imag(),
@@ -186,7 +177,7 @@ void sve_matrix1<float>(std::complex<float>* psi, unsigned nb,
   float* p = reinterpret_cast<float*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_runs(begin, end, pg.sorted, [&](std::uint64_t base, std::uint64_t run) {
     float* lo = p + 2 * base;
     float* hi = lo + 2 * stride;
     const std::int32_t len = static_cast<std::int32_t>(2 * run);
@@ -209,12 +200,12 @@ const KernelOverrides& sve_overrides() {
     KernelOverrides o;
     o.compiled = true;
     o.vector_bits = static_cast<unsigned>(svcntb() * 8);  // runtime VL
-    o.f64[idx(KernelClass::Hadamard)] = &sve_hadamard<double>;
-    o.f64[idx(KernelClass::Diag1)] = &sve_diag1<double>;
-    o.f64[idx(KernelClass::Matrix1)] = &sve_matrix1<double>;
-    o.f32[idx(KernelClass::Hadamard)] = &sve_hadamard<float>;
-    o.f32[idx(KernelClass::Diag1)] = &sve_diag1<float>;
-    o.f32[idx(KernelClass::Matrix1)] = &sve_matrix1<float>;
+    o.f64[idx(KernelClass::Hadamard)] = &sve_hadamard;
+    o.f64[idx(KernelClass::Diag1)] = &sve_diag1;
+    o.f64[idx(KernelClass::Matrix1)] = &sve_matrix1;
+    o.f32[idx(KernelClass::Hadamard)] = &sve_hadamard;
+    o.f32[idx(KernelClass::Diag1)] = &sve_diag1;
+    o.f32[idx(KernelClass::Matrix1)] = &sve_matrix1;
     return o;
   }();
   return ov;

@@ -4,7 +4,8 @@
 // precision study needs both). Allocation is uninitialized and the |0...0>
 // fill runs through the thread pool so pages are first-touched by the
 // workers that will stream them (NUMA-correct on real multi-socket/CMG
-// machines).
+// machines). States of 2 MiB or more are 2 MiB-aligned and advised for
+// transparent huge pages before that fill.
 //
 // All whole-register reductions (norm, probabilities, sampling, expectation)
 // live here; gate application is in kernels.hpp.
@@ -22,12 +23,16 @@
 
 namespace svsim::sv {
 
+/// Widest register StateVector allocates (2^34 amplitudes).
+inline constexpr unsigned kMaxQubits = 34;
+
 template <typename T>
 class StateVector {
  public:
   using value_type = std::complex<T>;
 
-  /// Allocates a 2^num_qubits register initialized to |0...0>.
+  /// Allocates a 2^num_qubits register initialized to |0...0>;
+  /// 1 <= num_qubits <= kMaxQubits.
   /// `pool` is borrowed for the lifetime of the object (default: the
   /// process-global pool).
   explicit StateVector(unsigned num_qubits,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <istream>
 #include <memory>
@@ -22,8 +23,8 @@
 #include "qc/library.hpp"
 #include "qc/qasm.hpp"
 #include "sv/engine.hpp"
+#include "sv/fusion.hpp"
 #include "sv/plan.hpp"
-#include "sv/simd/simd.hpp"
 #include "sv/simulator.hpp"
 #include "svc/job_queue.hpp"
 #include "svc/json.hpp"
@@ -376,19 +377,42 @@ sv::NoiseModel parse_noise(const json::Value& v) {
   return noise;
 }
 
+// Limits of the numbers a job line may carry; anything else is rejected as
+// a bad request before it is cast (a negative depth cast to unsigned asks
+// for ~4e9 layers).
+constexpr std::uint64_t kMaxQvDepth = 4096;
+constexpr std::uint64_t kMaxShots = std::uint64_t{1} << 26;
+constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;  // exact doubles
+
+/// `v` as an integer in [lo, hi]; a fraction, NaN or out-of-range value
+/// throws naming the field.
+std::uint64_t integer_in(double v, const char* field, std::uint64_t lo,
+                         std::uint64_t hi) {
+  require(v == std::floor(v) && v >= static_cast<double>(lo) &&
+              v <= static_cast<double>(hi),
+          std::string(field) + " must be an integer in [" +
+              std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return static_cast<std::uint64_t>(v);
+}
+
+unsigned qubit_count(double v, const char* field) {
+  return static_cast<unsigned>(integer_in(v, field, 1, sv::kMaxQubits));
+}
+
 qc::Circuit parse_circuit(const json::Value& job) {
   if (const json::Value* q = job.find("qasm"))
     return qc::parse_qasm(q->as_string("qasm"));
   if (const json::Value* q = job.find("qft"))
-    return qc::qft(static_cast<unsigned>(q->as_number("qft")));
+    return qc::qft(qubit_count(q->as_number("qft"), "qft"));
   if (const json::Value* q = job.find("qv")) {
     require(q->is_array() && q->array.size() >= 2,
             "qv must be [qubits, depth] or [qubits, depth, seed]");
-    const auto nq = static_cast<unsigned>(q->array[0].as_number("qv[0]"));
-    const auto d = static_cast<unsigned>(q->array[1].as_number("qv[1]"));
-    const auto seed =
+    const unsigned nq = qubit_count(q->array[0].as_number("qv[0]"), "qv[0]");
+    const auto d = static_cast<unsigned>(
+        integer_in(q->array[1].as_number("qv[1]"), "qv[1]", 1, kMaxQvDepth));
+    const std::uint64_t seed =
         q->array.size() > 2
-            ? static_cast<std::uint64_t>(q->array[2].as_number("qv[2]"))
+            ? integer_in(q->array[2].as_number("qv[2]"), "qv[2]", 0, kMaxSeed)
             : 1234;
     return qc::random_quantum_volume(nq, d, seed);
   }
@@ -409,20 +433,29 @@ JobRequest parse_job_line(const std::string& line) {
   JobRequest req;
   req.id = job.get_string("id", "");
   req.circuit = parse_circuit(job);
-  const double shots = job.get_number("shots", 1024.0);
-  require(shots >= 1.0, "shots must be >= 1");
-  req.shots = static_cast<std::size_t>(shots);
+  const unsigned n = req.circuit.num_qubits();
+  require(n >= 1 && n <= sv::kMaxQubits, "circuit must have 1..34 qubits");
+  req.shots = static_cast<std::size_t>(
+      integer_in(job.get_number("shots", 1024.0), "shots", 1, kMaxShots));
   if (const json::Value* o = job.find("options")) {
     require(o->is_object(), "\"options\" must be an object");
     req.fusion = o->get_bool("fusion", false);
-    req.fusion_width =
-        static_cast<unsigned>(o->get_number("fusion_width", 3));
+    req.fusion_width = static_cast<unsigned>(
+        integer_in(o->get_number("fusion_width", 3), "options.fusion_width",
+                   1, sv::kMaxFusionWidth));
     req.blocking = o->get_bool("blocked", false);
-    req.block_qubits =
-        static_cast<unsigned>(o->get_number("block_qubits", 0));
-    req.ranks = static_cast<unsigned>(o->get_number("ranks", 1));
+    req.block_qubits = static_cast<unsigned>(
+        integer_in(o->get_number("block_qubits", 0), "options.block_qubits",
+                   0, sv::kMaxQubits));
+    const std::uint64_t ranks = integer_in(
+        o->get_number("ranks", 1), "options.ranks", 1, pow2(31));
+    require(is_pow2(ranks), "options.ranks must be a power of two");
+    require(ranks == 1 || ilog2(ranks) + 2 <= n,
+            "options.ranks must leave at least 2 local qubits per rank");
+    req.ranks = static_cast<unsigned>(ranks);
     req.scheduler = o->get_string("sched", "remap");
-    req.seed = static_cast<std::uint64_t>(o->get_number("seed", 1));
+    req.seed =
+        integer_in(o->get_number("seed", 1), "options.seed", 0, kMaxSeed);
     req.precision = o->get_string("precision", "");
   }
   if (const json::Value* noise = job.find("noise")) {
@@ -530,16 +563,12 @@ ServeStats serve_session(std::istream& in, std::ostream& out,
     contexts.emplace_back();
     contexts.back().with_pool(*service.options().pool);
   } else {
-    ContextConfig config;
-    config.element_bytes =
-        service.options().default_precision == "f32" ? 4u : 8u;
-    config.simd_isa = static_cast<int>(sv::simd::active_backend().isa);
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     const unsigned per_worker = std::max(1u, hw / workers);
     for (unsigned w = 0; w < workers; ++w) {
       slices.push_back(std::make_unique<ThreadPool>(per_worker));
       contexts.emplace_back();
-      contexts.back().with_pool(*slices.back()).with_config(config);
+      contexts.back().with_pool(*slices.back());
     }
   }
 

@@ -44,8 +44,6 @@ TEST(ExecutionContext, DefaultResolvesToProcessSingletons) {
   EXPECT_EQ(&ctx.tracer(), &obs::Tracer::global());
   EXPECT_EQ(&ctx.pool(), &ThreadPool::global());
   EXPECT_EQ(ctx.profiler(), obs::Profiler::current());
-  EXPECT_EQ(ctx.config().simd_isa, -1);
-  EXPECT_EQ(ctx.config().element_bytes, 8u);
 }
 
 TEST(ExecutionContext, RunPlanCountersLandInSubstitutedRegistry) {

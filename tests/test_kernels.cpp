@@ -317,7 +317,7 @@ TEST(BlockKernels, ClassifyGateCoversEveryKind) {
 }
 
 TEST(BlockKernels, DispatchTableIsFullyPopulated) {
-  const auto& table = block_kernel_table<double>();
+  const auto& table = detail::blk::range_kernels<double>;
   ASSERT_EQ(table.size(), kNumKernelClasses);
   for (std::size_t i = 0; i < kNumKernelClasses; ++i) {
     EXPECT_NE(table[i], nullptr) << "class index " << i;

@@ -484,6 +484,64 @@ TEST(ServeProtocol, BadRequestEchoesSubmittedId) {
   EXPECT_EQ(second.get_string("id", ""), "job-2");
 }
 
+/// Runs one job line through a serve session and returns its result line.
+svc::json::Value serve_one(const std::string& job_line) {
+  std::istringstream in(job_line + "\n");
+  std::ostringstream out;
+  svc::Service service{svc::ServiceOptions{}};
+  svc::serve_session(in, out, service);
+  std::istringstream reread(out.str());
+  std::string line;
+  std::getline(reread, line);
+  return svc::json::parse(line);
+}
+
+void expect_bad_request(const std::string& job_line) {
+  const svc::json::Value r = serve_one(job_line);
+  EXPECT_FALSE(r.get_bool("ok", true)) << job_line;
+  EXPECT_EQ(r.at("error", "t").get_string("code", ""), "bad_request")
+      << job_line << ": " << r.at("error", "t").get_string("message", "");
+}
+
+// Numbers are range-checked before they are cast: each line below used to
+// hang (a depth of ~4e9), fail inside the allocator, or come back as
+// job_failed.
+TEST(ServeProtocol, NegativeQvDepthIsABadRequest) {
+  expect_bad_request(R"({"id":"f","qv":[4,-1]})");
+}
+
+TEST(ServeProtocol, NegativeQftWidthIsABadRequest) {
+  expect_bad_request(R"({"qft":-3})");
+}
+
+TEST(ServeProtocol, HugeShotCountIsABadRequest) {
+  expect_bad_request(R"({"qft":3,"shots":1e30})");
+}
+
+TEST(ServeProtocol, RanksMustBeAPowerOfTwo) {
+  expect_bad_request(R"({"qft":4,"options":{"ranks":0}})");
+  expect_bad_request(R"({"qft":4,"options":{"ranks":3}})");
+}
+
+TEST(ServeProtocol, ZeroFusionWidthIsABadRequest) {
+  expect_bad_request(R"({"qft":4,"options":{"fusion_width":0}})");
+}
+
+TEST(ServeProtocol, OutOfRangeNumbersAreBadRequests) {
+  expect_bad_request(R"({"qft":35})");
+  expect_bad_request(R"({"qft":2.5})");
+  expect_bad_request(R"({"qv":[4,2,-7]})");
+  expect_bad_request(R"({"qft":4,"shots":0})");
+  expect_bad_request(R"({"qft":4,"options":{"seed":-1}})");
+  expect_bad_request(R"({"qft":4,"options":{"block_qubits":99}})");
+  expect_bad_request(R"({"qft":4,"options":{"fusion_width":7}})");
+  expect_bad_request(R"({"qft":3,"options":{"ranks":4}})");
+  // The limits themselves are accepted.
+  EXPECT_TRUE(serve_one(R"({"qft":4,"shots":1,"options":{"ranks":4,)"
+                        R"("fusion_width":6,"block_qubits":0,"seed":0}})")
+                  .get_bool("ok", false));
+}
+
 TEST(ServeProtocol, MetricsCountersPublish) {
   obs::MetricsRegistry::global().reset();
   svc::Service service{svc::ServiceOptions{}};

@@ -1,8 +1,11 @@
-// SIMD backend equivalence: every compiled-and-available backend must
-// reproduce the portable scalar reference table (sv::block_kernel_table)
+// SIMD backend equivalence and the kernel contract. Every compiled-and-
+// available backend must
+// reproduce the portable scalar reference (sv::detail::blk::range_kernels)
 // on random states, for every KernelClass, at both precisions, within the
 // documented ULP bounds (sv/simd/simd.hpp): 1e-13 absolute on normalized
 // f64 states, 1e-5 on f32; bit-exact for permutation and Hadamard entries.
+// Within one backend, results are bit-identical however [0, work_items) is
+// split, at any pool size, and on the dense and the blocked path.
 // Backends the binary lacks (e.g. NEON on x86) or the CPU cannot run are
 // skipped, not failed, so the suite is green on every host.
 #include "sv/simd/simd.hpp"
@@ -13,13 +16,21 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
+#include "common/threading.hpp"
+#include "qc/circuit.hpp"
 #include "qc/gate.hpp"
+#include "qc/library.hpp"
 #include "qc/matrix.hpp"
+#include "sv/engine.hpp"
 #include "sv/kernels.hpp"
+#include "sv/plan.hpp"
+#include "sv/simulator.hpp"
+#include "sv/state_vector.hpp"
 
 namespace svsim::sv {
 namespace {
@@ -103,12 +114,13 @@ std::vector<Gate> representative_gates(unsigned n, Xoshiro256& rng) {
 template <typename T>
 double divergence(const Gate& g, unsigned n, std::uint64_t seed) {
   const PreparedGate<T> pg = prepare_gate<T>(g);
-  const auto& active = active_block_kernel_table<T>();
-  const auto& scalar = block_kernel_table<T>();
+  const auto& active = active_kernels<T>();
+  const auto& scalar = detail::blk::range_kernels<T>;
+  const std::uint64_t items = detail::blk::work_items(pg, n);
   std::vector<std::complex<T>> a = random_block<T>(n, seed);
   std::vector<std::complex<T>> b = a;
-  active[idx(pg.cls)](a.data(), n, pg);
-  scalar[idx(pg.cls)](b.data(), n, pg);
+  active[idx(pg.cls)](a.data(), n, pg, 0, items);
+  scalar[idx(pg.cls)](b.data(), n, pg, 0, items);
   double dist = 0.0;
   for (std::uint64_t i = 0; i < a.size(); ++i)
     dist = std::max(dist, static_cast<double>(std::abs(a[i] - b[i])));
@@ -166,8 +178,8 @@ TEST_P(BackendEquivalence, NonOverriddenEntriesAreTheScalarReference) {
   // Classes a backend does not hand-vectorize must dispatch to the exact
   // scalar function pointers — Unsupported among them, so the blocked
   // engine's error path is backend-independent.
-  const auto& active_d = active_block_kernel_table<double>();
-  const auto& scalar_d = block_kernel_table<double>();
+  const auto& active_d = active_kernels<double>();
+  const auto& scalar_d = detail::blk::range_kernels<double>;
   EXPECT_EQ(active_d[idx(KernelClass::Unsupported)],
             scalar_d[idx(KernelClass::Unsupported)]);
   const std::size_t overridden = simd::active_backend().overridden_classes;
@@ -175,6 +187,187 @@ TEST_P(BackendEquivalence, NonOverriddenEntriesAreTheScalarReference) {
   for (std::size_t i = 0; i < kNumKernelClasses; ++i)
     differing += active_d[i] != scalar_d[i] ? 1 : 0;
   EXPECT_LE(differing, overridden);
+}
+
+template <typename T>
+bool same_bytes(const std::vector<std::complex<T>>& a,
+                const std::vector<std::complex<T>>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+/// `g` through the active kernel table on a random block, one call per
+/// piece of [0, work_items) cut at `cuts` (ascending, inside the range).
+template <typename T>
+std::vector<std::complex<T>> apply_split(const Gate& g, unsigned n,
+                                         std::uint64_t seed,
+                                         const std::vector<std::uint64_t>& cuts) {
+  const PreparedGate<T> pg = prepare_gate<T>(g);
+  const RangeKernelFn<T> kernel = active_kernels<T>()[idx(pg.cls)];
+  std::vector<std::complex<T>> a = random_block<T>(n, seed);
+  std::uint64_t lo = 0;
+  for (std::uint64_t c : cuts) {
+    kernel(a.data(), n, pg, lo, c);
+    lo = c;
+  }
+  kernel(a.data(), n, pg, lo, detail::blk::work_items(pg, n));
+  return a;
+}
+
+template <typename T>
+void check_partition_invariance() {
+  for (unsigned n = 2; n <= 9; ++n) {
+    Xoshiro256 rng(0xc0de + n);
+    std::vector<Gate> gates = representative_gates(n, rng);
+    for (unsigned t = 0; t < n; ++t) {
+      gates.push_back(Gate::h(t));
+      gates.push_back(Gate::x(t));
+      gates.push_back(Gate::rz(t, 1.13));
+      gates.push_back(Gate::u(t, 0.3, 0.7, 1.9));
+    }
+    for (const Gate& g : gates) {
+      const std::uint64_t items =
+          detail::blk::work_items(prepare_gate<T>(g), n);
+      const std::uint64_t seed = 4400 + n;
+      const auto whole = apply_split<T>(g, n, seed, {});
+      // Every index in its own call: each vector group is cut everywhere.
+      std::vector<std::uint64_t> every;
+      for (std::uint64_t c = 1; c < items; ++c) every.push_back(c);
+      EXPECT_TRUE(same_bytes(whole, apply_split<T>(g, n, seed, every)))
+          << g.to_string() << " one index per call, n=" << n;
+      for (int trial = 0; trial < 4 && items > 1; ++trial) {
+        std::vector<std::uint64_t> cuts;
+        for (int k = 0; k < 3; ++k)
+          cuts.push_back(1 + rng.uniform_int(items - 1));
+        std::sort(cuts.begin(), cuts.end());
+        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+        EXPECT_TRUE(same_bytes(whole, apply_split<T>(g, n, seed, cuts)))
+            << g.to_string() << " cut at " << cuts.front() << ", n=" << n;
+      }
+    }
+  }
+}
+
+TEST_P(BackendEquivalence, RangeSplitsAreBitExactF64) {
+  check_partition_invariance<double>();
+}
+
+TEST_P(BackendEquivalence, RangeSplitsAreBitExactF32) {
+  check_partition_invariance<float>();
+}
+
+/// The active entry and the scalar reference agree bit for bit.
+template <typename T>
+bool exact_vs_scalar(const Gate& g, unsigned n, std::uint64_t seed) {
+  const PreparedGate<T> pg = prepare_gate<T>(g);
+  const std::uint64_t items = detail::blk::work_items(pg, n);
+  std::vector<std::complex<T>> a = random_block<T>(n, seed);
+  std::vector<std::complex<T>> b = a;
+  active_kernels<T>()[idx(pg.cls)](a.data(), n, pg, 0, items);
+  detail::blk::range_kernels<T>[idx(pg.cls)](b.data(), n, pg, 0, items);
+  return same_bytes(a, b);
+}
+
+template <typename T>
+void check_permutations_exact() {
+  for (unsigned n = 2; n <= 10; ++n) {
+    std::vector<Gate> gates;
+    for (unsigned a = 0; a < n; ++a) {
+      gates.push_back(Gate::x(a));
+      for (unsigned b = 0; b < n; ++b) {
+        if (a == b) continue;
+        gates.push_back(Gate::cx(a, b));
+        gates.push_back(Gate::swap(a, b));
+        // Two controls, q0/q1 and the top qubit among the placements.
+        for (unsigned c : {0u, 1u, n - 1})
+          if (c != a && c != b) gates.push_back(Gate::ccx(a, c, b));
+      }
+    }
+    if (n >= 4) {
+      gates.push_back(Gate::mcx({0, 1, 2}, n - 1));
+      gates.push_back(Gate::mcx({n - 1, 2, 0}, 1));
+      gates.push_back(Gate::mcx({1, n - 2, n - 1}, 0));
+    }
+    for (const Gate& g : gates)
+      EXPECT_TRUE(exact_vs_scalar<T>(g, n, 5100 + n))
+          << g.to_string() << " on n=" << n;
+  }
+}
+
+TEST_P(BackendEquivalence, PermutationsBitExactF64) {
+  check_permutations_exact<double>();
+}
+
+TEST_P(BackendEquivalence, PermutationsBitExactF32) {
+  check_permutations_exact<float>();
+}
+
+template <typename T>
+void check_pool_size_invariance() {
+  const unsigned n = 16;  // enough work items that every pool size splits
+  Xoshiro256 rng(0x9001);
+  std::vector<Gate> gates = representative_gates(n, rng);
+  gates.push_back(Gate::h(0));
+  gates.push_back(Gate::cx(0, 1));
+  gates.push_back(Gate::u(1, 0.3, 0.7, 1.9));
+  std::vector<qc::cplx> init(pow2(n));
+  for (auto& a : init) a = {rng.normal() / 256, rng.normal() / 256};
+  for (const Gate& g : gates) {
+    std::vector<std::complex<T>> first;
+    for (unsigned threads = 1; threads <= 4; ++threads) {
+      ThreadPool pool(threads);
+      StateVector<T> s(n, &pool);
+      s.set_state(init);
+      apply_gate(s, g);
+      std::vector<std::complex<T>> got(s.data(), s.data() + s.size());
+      if (threads == 1)
+        first = std::move(got);
+      else
+        EXPECT_TRUE(same_bytes(first, got))
+            << g.to_string() << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST_P(BackendEquivalence, ApplyGateIsPoolSizeInvariantF64) {
+  check_pool_size_invariance<double>();
+}
+
+TEST_P(BackendEquivalence, ApplyGateIsPoolSizeInvariantF32) {
+  check_pool_size_invariance<float>();
+}
+
+template <typename T>
+void check_dense_matches_blocked() {
+  const unsigned n = 12;
+  qc::Circuit c = qc::random_quantum_volume(n, 3, 11);
+  c.h(0).cx(0, 1).cx(1, 2).cp(0, 3, 0.4).swap(1, 6).rz(0, 0.3).crz(2, 0, 0.5);
+  c.ccx(0, 1, 2).u(1, 0.3, 0.7, 1.9).cx(4, 0).swap(0, 11).h(7);
+  PlanOptions dense_opts;
+  PlanOptions blocked_opts;
+  blocked_opts.blocking = true;
+  blocked_opts.block_qubits = 6;
+  const ExecutionPlan dense = compile_plan(c, dense_opts);
+  const ExecutionPlan blocked = compile_plan(c, blocked_opts);
+  ASSERT_GT(blocked.block_qubits, 0u);
+  StateVector<T> a(n), b(n);
+  std::vector<qc::cplx> init(pow2(n));
+  Xoshiro256 rng(0xb10c);
+  for (auto& x : init) x = {rng.normal() / 64, rng.normal() / 64};
+  a.set_state(init);
+  b.set_state(init);
+  run_plan(a, dense);
+  run_plan(b, blocked);
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a.data()[0])),
+            0);
+}
+
+TEST_P(BackendEquivalence, DenseAndBlockedPlansAgreeBitExactlyF64) {
+  check_dense_matches_blocked<double>();
+}
+
+TEST_P(BackendEquivalence, DenseAndBlockedPlansAgreeBitExactlyF32) {
+  check_dense_matches_blocked<float>();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIsas, BackendEquivalence,
