@@ -112,12 +112,14 @@ void ablation_scheduler(bench::BenchContext& ctx) {
                                     {0.4, 0.3})},
   };
   for (const auto& [name, c] : workloads) {
-    const auto naive =
-        dist::plan_distribution(c, 4, dist::CommScheduler::Naive);
-    const auto remap =
-        dist::plan_distribution(c, 4, dist::CommScheduler::Remap);
-    const auto tn = dist::time_plan(naive, m, {}, net);
-    const auto tr = dist::time_plan(remap, m, {}, net);
+    dist::DistExecOptions o;
+    o.restore_layout = false;  // model only: the register may end permuted
+    o.scheduler = dist::CommScheduler::Naive;
+    const auto tn =
+        dist::time_plan(dist::compile_distributed(c, 4, o), m, {}, net);
+    o.scheduler = dist::CommScheduler::Remap;
+    const auto tr =
+        dist::time_plan(dist::compile_distributed(c, 4, o), m, {}, net);
     t.add_row({name, tn.exchange_bytes * 1e-9, tr.exchange_bytes * 1e-9,
                tn.total_seconds, tr.total_seconds});
     ctx.model("sched." + name + ".naive_gb", tn.exchange_bytes * 1e-9, "GB",

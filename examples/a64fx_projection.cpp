@@ -67,11 +67,13 @@ int main(int argc, char** argv) {
   double single = perf::simulate_circuit(circuit, a64fx, {}).total_seconds;
   multi.add_row({std::int64_t{1}, static_cast<std::int64_t>(n),
                  std::int64_t{0}, single, 0.0, single, 1.0});
+  dist::DistExecOptions remap;
+  remap.scheduler = dist::CommScheduler::Remap;
+  remap.restore_layout = false;  // a projection need not end unpermuted
   for (unsigned d = 2; d <= 8 && n - d >= 20; d += 2) {
-    const auto plan =
-        dist::plan_distribution(circuit, d, dist::CommScheduler::Remap);
+    const auto plan = dist::compile_distributed(circuit, d, remap);
     const auto t = dist::time_plan(plan, a64fx, {}, tofu);
-    multi.add_row({static_cast<std::int64_t>(plan.num_nodes()),
+    multi.add_row({static_cast<std::int64_t>(plan.num_ranks()),
                    static_cast<std::int64_t>(n - d),
                    static_cast<std::int64_t>(t.num_exchanges),
                    t.compute_seconds, t.comm_seconds, t.total_seconds,

@@ -1,28 +1,26 @@
-// Distribution planner for multi-node state-vector simulation.
+// Distributed compiler for multi-node state-vector simulation.
 //
-// With 2^d nodes, qubit *slots* [n-d, n) live in the node rank ("node
-// slots") and slots [0, n-d) index the local partition. The planner walks a
-// circuit and decides, per gate, what each node computes locally and how
-// much data partner nodes must exchange:
+// With 2^d ranks, qubit *slots* [n-d, n) live in the rank index ("node
+// slots") and slots [0, n-d) index the local partition. compile_distributed
+// walks a circuit and lowers it to the shared ExecutionPlan IR
+// (sv/plan.hpp): compute phases in slot space, separated by Exchange phases
+// that record what partner ranks must send each other:
 //
-//  * diagonal gates never communicate (each node knows its rank bits);
-//  * a control on a node slot is free (half the nodes apply the target op);
+//  * diagonal gates never communicate (each rank knows its rank bits);
+//  * a control on a node slot is free (half the ranks apply the target op);
 //  * a non-diagonal target on a node slot costs a pairwise exchange of the
 //    local partition (half of it when a local control restricts the update,
 //    or for a local<->node SWAP).
 //
-// Two schedulers are provided: `Naive` pays the exchange at every such gate;
-// `Remap` instead swaps the offending logical qubit into a local slot
-// (one half-exchange) and keeps a qubit->slot permutation, evicting the
-// local qubit whose next use is farthest in the future (Belady). For
-// QFT-like circuits that hammer the same high qubits this collapses the
-// exchange count — the distributed-scaling experiment (Fig. 6) quantifies it.
+// Two schedulers are provided: `Naive` pays the exchange at every such gate
+// (cost-only hops; the layout never moves); `Remap` instead swaps the
+// offending logical qubit into a local slot (one half-exchange) and keeps a
+// qubit->slot permutation, evicting the local qubit whose next use is
+// farthest in the future (Belady) — the qubit-remapping design of
+// mpiQulacs. For QFT-like circuits that hammer the same high qubits this
+// collapses the exchange count; the distributed-scaling experiment (Fig. 6)
+// quantifies it.
 #pragma once
-
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "qc/circuit.hpp"
 #include "sv/plan.hpp"
@@ -33,43 +31,8 @@ enum class CommScheduler { Naive, Remap };
 
 const char* scheduler_name(CommScheduler s);
 
-/// One planned step: an optional local cost-proxy gate (operands remapped
-/// into local-slot space, i.e. qubit indices < n-d) and the bytes each node
-/// exchanges with its partner before executing it.
-struct DistStep {
-  std::optional<qc::Gate> local_gate;
-  double exchange_bytes = 0.0;   ///< per node, one direction
-  /// Rank bit whose flip identifies the exchange partner (-1 = no exchange).
-  int exchange_rank_bit = -1;
-  std::string note;              ///< why the exchange happened
-};
-
-struct DistPlan {
-  unsigned num_qubits = 0;       ///< total (global) register width
-  unsigned node_qubits = 0;      ///< d: log2(node count)
-  unsigned local_qubits = 0;     ///< n - d
-  std::vector<DistStep> steps;
-  std::size_t num_exchanges = 0;
-  double total_exchange_bytes = 0.0;  ///< per node, summed over steps
-  /// slot_of[logical qubit] after the plan (identity unless Remap moved it).
-  std::vector<unsigned> final_slot_of;
-
-  std::uint64_t num_nodes() const noexcept {
-    return std::uint64_t{1} << node_qubits;
-  }
-};
-
-/// Plans the distribution of `circuit` over 2^node_qubits nodes.
-/// `element_bytes` is the scalar precision (8 = double).
-/// Requires node_qubits < circuit.num_qubits() and a measure-free circuit.
-DistPlan plan_distribution(const qc::Circuit& circuit, unsigned node_qubits,
-                           CommScheduler scheduler,
-                           unsigned element_bytes = 8);
-
 struct DistExecOptions {
   CommScheduler scheduler = CommScheduler::Remap;
-  /// Scalar precision (8 = double; an amplitude is 2 * element_bytes).
-  unsigned element_bytes = 8;
   /// Emit restore exchanges so the plan ends — and every MeasureFlush runs —
   /// under the identity qubit->slot layout. Required for amplitude
   /// execution; model-only studies may disable it.
@@ -77,23 +40,18 @@ struct DistExecOptions {
   /// Fusion / sweep-blocking knobs forwarded to the window compiler. The
   /// block size is clamped to the local partition (block_qubits <=
   /// local_qubits), and auto sizing budgets against `plan.machine`.
+  /// `plan.amp_bytes` also sizes the exchanged partition.
   sv::PlanOptions plan;
 };
 
 /// Compiles `circuit` into the shared ExecutionPlan IR for 2^node_qubits
-/// ranks: fusion -> Belady-style exchange placement (the same remapper
-/// plan_distribution uses) -> sweep grouping per exchange window. Gates in
-/// the result are in slot space; with the Remap scheduler, Exchange phases
-/// carry the data-moving slot swaps, with Naive they are cost-only markers.
+/// ranks: fusion -> Belady-style exchange placement -> sweep grouping per
+/// exchange window. Gates in the result are in slot space; with the Remap
+/// scheduler, Exchange phases carry the data-moving slot swaps, with Naive
+/// they are cost-only markers.
 /// MEASURE/RESET compile into MeasureFlush phases behind a layout restore.
 sv::ExecutionPlan compile_distributed(const qc::Circuit& circuit,
                                       unsigned node_qubits,
                                       const DistExecOptions& options = {});
-
-/// Adapts a legacy per-gate DistPlan to the shared IR: each step becomes a
-/// cost-only Exchange phase (adjacent ones coalesced) and/or a DenseGate
-/// phase. For timing models only — the result carries the DistPlan's final
-/// layout but no data-moving hops, so it is not amplitude-executable.
-sv::ExecutionPlan to_execution_plan(const DistPlan& plan);
 
 }  // namespace svsim::dist

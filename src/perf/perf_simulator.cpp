@@ -88,17 +88,26 @@ PerfReport simulate_circuit(const qc::Circuit& circuit, const MachineSpec& m,
 namespace {
 
 /// Slot-space gates may keep operands on node slots (free controls,
-/// diagonals): each rank still runs the kernel over its own partition, so
-/// cost it with node-slot operands replaced by scratch local slots.
+/// diagonals): each rank still runs a kernel over its own partition, so
+/// cost what the worst rank runs. A diagonal's node operands are fixed by
+/// the rank bits: with no local operand it is a phase over the whole
+/// partition, else a diagonal on its local slots alone. Other gates keep
+/// their arity, node-slot operands replaced by scratch local slots.
 qc::Gate localized_proxy(const qc::Gate& g, unsigned local_qubits) {
-  bool local = true;
-  for (unsigned q : g.qubits) local = local && q < local_qubits;
-  if (local) return g;
-
-  qc::Gate proxy = g;
   std::vector<unsigned> used;
   for (unsigned q : g.qubits)
     if (q < local_qubits) used.push_back(q);
+  if (used.size() == g.qubits.size()) return g;
+
+  if (g.is_diagonal() && g.kind != qc::GateKind::I) {
+    if (used.empty()) return qc::Gate::rz(0, 0.1);
+    std::vector<qc::cplx> entries(pow2(static_cast<unsigned>(used.size())),
+                                  qc::cplx{1.0, 0.0});
+    entries.back() = qc::cplx{0.0, 1.0};  // cost proxy values
+    return qc::Gate::diag(std::move(used), std::move(entries));
+  }
+
+  qc::Gate proxy = g;
   for (auto& q : proxy.qubits) {
     if (q < local_qubits) continue;
     for (unsigned s = local_qubits; s-- > 0;) {

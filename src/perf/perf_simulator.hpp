@@ -115,8 +115,10 @@ struct PlanCost {
 };
 
 /// Costs every phase of `plan` on machine `m` under `config`. Gates with
-/// operands on node slots (free controls, diagonals) are priced via a
-/// localized proxy on the rank partition, matching what each rank executes.
+/// operands on node slots are priced as the worst rank runs them on its
+/// partition: a diagonal as a phase (no local operand) or as a diagonal on
+/// its local slots; a gate with node controls at its full arity, the node
+/// operands moved to scratch local slots.
 /// Publishes the `perf.plan_cost_evals` counter and its model span through
 /// `ctx` (default: the process-wide singletons).
 PlanCost cost_plan(const sv::ExecutionPlan& plan, const machine::MachineSpec& m,

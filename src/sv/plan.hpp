@@ -58,9 +58,9 @@ const char* phase_kind_name(PhaseKind kind);
 
 /// One pairwise partner exchange inside an Exchange phase. For a data-moving
 /// remap, (local_slot, node_slot) is the slot swap each rank performs with
-/// the partner across `rank_bit`; for cost-only hops (naive scheduler,
-/// legacy DistPlan adapters) the slots are not meaningful and the executor
-/// does not touch amplitudes — see PlanPhase::moves_data.
+/// the partner across `rank_bit`; for cost-only hops (naive scheduler) the
+/// slots are not meaningful and the executor does not touch amplitudes —
+/// see PlanPhase::moves_data.
 struct ExchangeHop {
   unsigned local_slot = 0;  ///< destination slot, < local_qubits
   unsigned node_slot = 0;   ///< source slot, >= local_qubits

@@ -1,5 +1,7 @@
 #include "svc/service.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -77,6 +79,24 @@ std::string bit_label(std::uint64_t key, unsigned width) {
   return label;
 }
 
+/// States per trajectory batch: as many as fit in `batch_bytes`, at least
+/// one and at most one per shot.
+std::size_t trajectory_batch_size(std::uint64_t state_bytes,
+                                  std::uint64_t batch_bytes,
+                                  std::size_t shots) {
+  return static_cast<std::size_t>(std::clamp<std::uint64_t>(
+      batch_bytes / std::max<std::uint64_t>(state_bytes, 1), 1, shots));
+}
+
+/// Installed physical memory (0 when the host does not report it).
+std::uint64_t query_physical_memory_bytes() {
+  const long pages = ::sysconf(_SC_PHYS_PAGES);
+  const long page_size = ::sysconf(_SC_PAGE_SIZE);
+  if (pages <= 0 || page_size <= 0) return 0;
+  return static_cast<std::uint64_t>(pages) *
+         static_cast<std::uint64_t>(page_size);
+}
+
 sv::PlanOptions plan_options_for(const JobRequest& req,
                                  const machine::MachineSpec* machine,
                                  unsigned element_bytes) {
@@ -152,11 +172,9 @@ void execute_counts(const CachedPlan& cached, const JobRequest& request,
     // Trajectory mode: batches of states walk the plan together, each
     // trajectory keyed by its global index so the split does not affect
     // the statistics.
-    const std::uint64_t state_bytes = pow2(n) * std::uint64_t{2 * sizeof(T)};
-    const std::size_t batch_size = static_cast<std::size_t>(std::clamp<
-        std::uint64_t>(options.batch_bytes / std::max<std::uint64_t>(
-                           state_bytes, 1),
-                       1, request.shots));
+    const std::size_t batch_size = trajectory_batch_size(
+        pow2(n) * std::uint64_t{2 * sizeof(T)}, options.batch_bytes,
+        request.shots);
     sv::Simulator<T> sim(sim_opts);
     std::size_t done = 0;
     while (done < request.shots) {
@@ -253,6 +271,34 @@ JobResult Service::execute(const JobRequest& request,
   qc::Circuit circuit = request.circuit;
   if (circuit.is_unitary()) circuit.measure_all();
 
+  const bool sampled_mode = sampled_mode_for(request, circuit);
+
+  // ---- Memory admission (before anything is compiled or cached) ---------
+  // The resident state of one execution: one vector when sampled, one
+  // trajectory batch otherwise. Past physical memory the job would be
+  // OOM-killed at first touch, so it is refused up front.
+  const std::uint64_t state_bytes =
+      pow2(circuit.num_qubits()) * std::uint64_t{2} * element_bytes;
+  const std::uint64_t resident_bytes =
+      state_bytes *
+      (sampled_mode ? 1
+                    : trajectory_batch_size(state_bytes, options_.batch_bytes,
+                                            request.shots));
+  static const std::uint64_t physical_bytes = query_physical_memory_bytes();
+  if (physical_bytes > 0 && resident_bytes > physical_bytes) {
+    result.ok = false;
+    result.error_code = "admission_rejected";
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "state memory %llu bytes exceeds the host's %llu bytes of "
+                  "physical memory",
+                  static_cast<unsigned long long>(resident_bytes),
+                  static_cast<unsigned long long>(physical_bytes));
+    result.error_message = buf;
+    result.total_seconds = seconds_since(job_start);
+    return result;
+  }
+
   sv::PlanOptions po =
       plan_options_for(request, &options_.machine, element_bytes);
   // Compile-path telemetry (fusion/sweep/plan counters) lands in the
@@ -265,7 +311,7 @@ JobResult Service::execute(const JobRequest& request,
   key.machine_fp = fingerprint_machine(&options_.machine);
   key.options_fp = fingerprint_plan_options(po, request.ranks,
                                             request.scheduler, po.amp_bytes);
-  key.sampled_mode = sampled_mode_for(request, circuit);
+  key.sampled_mode = sampled_mode;
   result.cache_key = key.to_string();
 
   std::shared_ptr<const CachedPlan> cached = cache_.get(key);

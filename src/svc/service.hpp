@@ -2,7 +2,8 @@
 //
 // A Service owns a PlanCache and executes JobRequests against it:
 //
-//   normalize -> fingerprint -> cache get-or-compile -> admission -> execute
+//   normalize -> memory admission -> fingerprint -> cache get-or-compile
+//             -> cost admission -> execute
 //
 // Compilation (fusion, sweep grouping, distributed exchange placement, and
 // the perf::cost_plan admission price) happens at most once per distinct

@@ -1,7 +1,7 @@
 // ExecutionPlan compiler, validator, and cross-path equivalence.
 //
-// The plan IR is the contract between three compilers (compile_plan,
-// dist::compile_distributed, the DistPlan adapter) and three executors
+// The plan IR is the contract between two compilers (compile_plan,
+// dist::compile_distributed) and three executors
 // (sv::run_plan, dist::time_plan, perf::cost_plan). These tests pin the
 // contract: structural invariants reject malformed plans, and the same
 // circuit produces identical amplitudes whether it runs dense, blocked, or
@@ -451,26 +451,24 @@ TEST(CostPlan, MirrorsPlanStructure) {
   EXPECT_GT(cost.total_flops, 0.0);
 }
 
-TEST(DistTiming, LegacyPlanAdapterMatchesSharedIR) {
-  // The legacy DistPlan overloads must be pure adapters: identical numbers
-  // to timing the converted ExecutionPlan directly.
+TEST(CostPlan, NodeSlotDiagonalsPricedPerWorstRank) {
+  // 4 ranks, 8 local slots. A diagonal fully on node slots is a phase over
+  // the whole partition on the ranks it touches; one with a local operand
+  // is a diagonal on that local slot alone.
   const auto m = machine::MachineSpec::a64fx();
-  const auto net = dist::InterconnectSpec::tofu_d();
-  const Circuit c = qc::qft(18);
-  for (auto sched :
-       {dist::CommScheduler::Naive, dist::CommScheduler::Remap}) {
-    const dist::DistPlan legacy = dist::plan_distribution(c, 3, sched);
-    const ExecutionPlan converted = dist::to_execution_plan(legacy);
-    const dist::DistTiming a = dist::time_plan(legacy, m, {}, net);
-    const dist::DistTiming b = dist::time_plan(converted, m, {}, net);
-    EXPECT_DOUBLE_EQ(a.compute_seconds, b.compute_seconds);
-    EXPECT_DOUBLE_EQ(a.comm_seconds, b.comm_seconds);
-    EXPECT_EQ(a.num_exchanges, b.num_exchanges);
-    EXPECT_DOUBLE_EQ(a.exchange_bytes, b.exchange_bytes);
-    EXPECT_DOUBLE_EQ(
-        dist::event_driven_makespan(legacy, m, {}, net),
-        dist::event_driven_makespan(converted, m, {}, net));
-  }
+  Circuit c(10);
+  c.cp(8, 9, 0.3).cp(3, 9, 0.4);
+  const ExecutionPlan plan = dist::compile_distributed(c, 2);
+  ASSERT_EQ(plan.phases.size(), 2u);
+  const perf::PlanCost cost = perf::cost_plan(plan, m, {});
+  const double phase =
+      perf::time_gate(qc::Gate::rz(0, 0.3), 8, m, {}).seconds;
+  const double local_diag =
+      perf::time_gate(qc::Gate::diag({3}, {{1.0, 0.0}, {0.0, 1.0}}), 8, m, {})
+          .seconds;
+  EXPECT_DOUBLE_EQ(cost.phases[0].seconds, phase);
+  EXPECT_DOUBLE_EQ(cost.phases[1].seconds, local_diag);
+  EXPECT_DOUBLE_EQ(cost.compute_seconds, phase + local_diag);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Service-layer tests: JSON protocol parsing, plan-cache keying/eviction,
 // batched-shot execution equivalence, admission control, and the serve
 // session loop (docs/SERVICE.md).
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -306,6 +308,33 @@ TEST(Service, AdmissionRejectsOverCostJob) {
   // The plan was still compiled and cached: resubmission attributes a hit.
   const auto retry = service.run_job(qft_job("big2", 8, 32, 1));
   EXPECT_TRUE(retry.cache_hit);
+}
+
+TEST(Service, AdmissionRejectsStateLargerThanPhysicalMemory) {
+  // 2^34 f64 amplitudes are 256 GiB. On a smaller host the job must be
+  // refused before anything is compiled, cached or allocated.
+  const long pages = ::sysconf(_SC_PHYS_PAGES);
+  const long page_size = ::sysconf(_SC_PAGE_SIZE);
+  ASSERT_GT(pages, 0);
+  ASSERT_GT(page_size, 0);
+  const auto physical = static_cast<std::uint64_t>(pages) *
+                        static_cast<std::uint64_t>(page_size);
+  if (physical >= (std::uint64_t{256} << 30))
+    GTEST_SKIP() << "host holds a 34-qubit state; the job would allocate";
+
+  svc::Service service{svc::ServiceOptions{}};
+  svc::JobRequest req = qft_job("huge", 34, 8, 1);
+  req.precision = "f64";
+  const auto result = service.run_job(req);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error_code, "admission_rejected");
+  EXPECT_NE(result.error_message.find("physical memory"), std::string::npos)
+      << result.error_message;
+  EXPECT_TRUE(result.cache_key.empty());
+  EXPECT_EQ(service.jobs_rejected(), 1u);
+  EXPECT_EQ(service.cache().size(), 0u);
+  EXPECT_EQ(service.cache().misses(), 0u);
+  EXPECT_EQ(service.cache().hits(), 0u);
 }
 
 TEST(Service, TrajectoryBatchingMatchesPerShotStatistics) {
