@@ -63,14 +63,14 @@ SVSIM_BENCH(fig4_sve_width, "Fig. 4", "SVE vector-length sweep (model)") {
         machine::ExecConfig cfg;
         cfg.vector_bits = vl;
         cfg.threads = threads;
-        perf::PerfOptions po;
+        sv::PlanOptions po;
         po.fusion = threads == 1;  // fusion makes the small case FP-bound
         po.fusion_width = 4;
-        const auto r = perf::simulate_circuit(c, m, cfg, po);
+        const auto r = perf::cost_plan(sv::compile_plan(c, po), m, cfg);
         t.add_row({name, static_cast<std::int64_t>(vl),
-                   r.total_seconds * 1e3, r.achieved_gflops()});
+                   r.compute_seconds * 1e3, r.achieved_gflops()});
         ctx.model(bench::sub("a64fx." + key + ".vl", vl) + ".s",
-                  r.total_seconds, "s", m.name);
+                  r.compute_seconds, "s", m.name);
       }
     }
     ctx.table(t);

@@ -14,7 +14,7 @@ using namespace svsim;
 namespace {
 
 void mode_table(bench::BenchContext& ctx, const std::string& key,
-                const qc::Circuit& c, const perf::PerfOptions& opts,
+                const qc::Circuit& c, const sv::PlanOptions& opts,
                 const char* title) {
   const std::vector<std::pair<std::string, machine::MachineSpec>> modes = {
       {"normal", machine::MachineSpec::a64fx()},
@@ -24,8 +24,9 @@ void mode_table(bench::BenchContext& ctx, const std::string& key,
   Table t(title, {"mode", "seconds", "watts", "joules", "EDP_Js",
                   "vs_normal_time", "vs_normal_power"});
   double t0 = 0.0, w0 = 0.0;
+  const sv::ExecutionPlan plan = sv::compile_plan(c, opts);
   for (const auto& [name, m] : modes) {
-    const auto p = perf::estimate_power(c, m, {}, opts);
+    const auto p = perf::estimate_power(perf::cost_plan(plan, m, {}), m);
     if (name == "normal") {
       t0 = p.seconds;
       w0 = p.average_watts;
@@ -46,7 +47,7 @@ SVSIM_BENCH(tab3_power, "Tab. 3", "A64FX power modes (model)") {
   mode_table(ctx, "qft27", qc::qft(27), {},
              "Memory-bound: QFT(27), no fusion");
 
-  perf::PerfOptions fused;
+  sv::PlanOptions fused;
   fused.fusion = true;
   fused.fusion_width = 5;
   mode_table(ctx, "qv20f5", qc::random_quantum_volume(20, 20, 3), fused,

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "machine/bandwidth_model.hpp"
 #include "machine/roofline.hpp"
-#include "sv/fusion.hpp"
 
 namespace svsim::perf {
 
@@ -33,7 +32,6 @@ GateTiming time_gate(const qc::Gate& gate, unsigned num_qubits,
   const KernelCost cost = gate_cost(gate, num_qubits, m, config);
 
   GateTiming t;
-  t.gate = gate.name();
   t.cost = cost;
   if (cost.bytes == 0.0 && cost.flops == 0.0) {
     // nop (barrier / identity)
@@ -55,34 +53,6 @@ GateTiming time_gate(const qc::Gate& gate, unsigned num_qubits,
   t.seconds =
       std::max(t.compute_seconds, t.memory_seconds) + t.overhead_seconds;
   return t;
-}
-
-PerfReport simulate_circuit(const qc::Circuit& circuit, const MachineSpec& m,
-                            const ExecConfig& config,
-                            const PerfOptions& options) {
-  qc::Circuit prepared = circuit;
-  if (options.fusion) {
-    sv::FusionOptions fo;
-    fo.max_width = options.fusion_width;
-    prepared = sv::fuse(circuit, fo);
-  }
-
-  const Placement p = machine::place_threads(m, config);
-  PerfReport report;
-  report.machine_name = m.name;
-  report.num_qubits = circuit.num_qubits();
-  report.threads = p.total_threads();
-  report.num_gates = prepared.size();
-
-  for (const auto& g : prepared.gates()) {
-    GateTiming t = time_gate(g, circuit.num_qubits(), m, config);
-    report.total_seconds += t.seconds;
-    report.total_flops += t.cost.flops;
-    report.total_bytes += t.cost.bytes;
-    report.seconds_by_kernel[t.cost.kernel] += t.seconds;
-    if (options.record_trace) report.trace.push_back(std::move(t));
-  }
-  return report;
 }
 
 namespace {
@@ -164,8 +134,15 @@ PlanCost cost_plan(const sv::ExecutionPlan& plan, const MachineSpec& m,
         const double memory_seconds = sc.dram_bytes / (bw * 1e9);
         pc.seconds = std::max(compute_seconds, memory_seconds) +
                      fork_join_seconds(p.total_threads());
+        pc.compute_seconds = compute_seconds;
+        pc.memory_seconds = memory_seconds;
         pc.flops = sc.flops;
         pc.bytes = sc.dram_bytes;
+        pc.gate = pc.kernel = "sweep";
+        // The one efficiency that derates the summed flops to the same time.
+        if (compute_seconds > 0.0)
+          pc.simd_efficiency =
+              sc.flops / (compute_seconds * compute_roof_gflops * 1e9);
         ++r.traversals;
         break;
       }
@@ -173,7 +150,14 @@ PlanCost cost_plan(const sv::ExecutionPlan& plan, const MachineSpec& m,
       case sv::PhaseKind::MeasureFlush: {
         for (const auto& g : phase.gates) {
           const GateTiming t = time_gate(localized_proxy(g, ln), ln, m, config);
+          if (pc.kernel.empty()) {
+            pc.gate = g.name();
+            pc.kernel = t.cost.kernel;
+            pc.simd_efficiency = t.cost.simd_efficiency;
+          }
           pc.seconds += t.seconds;
+          pc.compute_seconds += t.compute_seconds;
+          pc.memory_seconds += t.memory_seconds;
           pc.flops += t.cost.flops;
           pc.bytes += t.cost.bytes;
           if (t.cost.flops > 0.0 || t.cost.bytes > 0.0) ++r.traversals;
@@ -181,6 +165,7 @@ PlanCost cost_plan(const sv::ExecutionPlan& plan, const MachineSpec& m,
         break;
       }
       case sv::PhaseKind::Exchange: {
+        pc.gate = pc.kernel = "exchange";
         pc.exchange_bytes = phase.exchange_bytes();
         r.num_exchanges += phase.hops.size();
         r.exchange_bytes_per_rank += pc.exchange_bytes;

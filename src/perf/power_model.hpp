@@ -1,18 +1,16 @@
-// Power and energy estimation on top of a PerfReport.
+// Power and energy estimation on top of a PlanCost.
 //
 // P(t) = idle + Σ_active cores (core_max_watts x utilization)
 //             + mem_watts_per_gbps x achieved bandwidth,
-// where utilization is each gate's compute fraction (memory-stalled cores
+// where utilization is each phase's compute fraction (memory-stalled cores
 // still draw a floor fraction). Calibrated so the A64FX boost/eco variants
 // reproduce the authors' published relative effects (boost ≈ +10% perf /
 // +17% power on compute-bound work; eco cuts power sharply on memory-bound
 // work at little cost).
 #pragma once
 
-#include "machine/exec_config.hpp"
 #include "machine/machine_spec.hpp"
 #include "perf/perf_simulator.hpp"
-#include "qc/circuit.hpp"
 
 namespace svsim::perf {
 
@@ -27,11 +25,8 @@ struct PowerReport {
 /// Fraction of peak core power a memory-stalled core still draws.
 inline constexpr double kStallPowerFloor = 0.35;
 
-/// Estimates power for a circuit by re-running the performance model with
-/// per-gate utilization tracking.
-PowerReport estimate_power(const qc::Circuit& circuit,
-                           const machine::MachineSpec& m,
-                           const machine::ExecConfig& config,
-                           const PerfOptions& options = {});
+/// Estimates power for a plan priced by cost_plan on machine `m`, phase by
+/// phase (Exchange phases carry no compute time and draw nothing here).
+PowerReport estimate_power(const PlanCost& cost, const machine::MachineSpec& m);
 
 }  // namespace svsim::perf

@@ -99,6 +99,7 @@ ProfileReport build_profile_report(const obs::RunProfile& run,
     p.kind = plan.phases[i].kind;
     p.gates = sample.gates;
     p.hops = sample.hops;
+    p.kernel = modeled.kernel;
     p.measured_seconds = sample.seconds();
     p.modeled_seconds = modeled.seconds;
     p.measured_bytes = static_cast<double>(sample.bytes);

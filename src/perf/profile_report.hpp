@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -40,6 +41,7 @@ struct PhaseProfile {
   sv::PhaseKind kind = sv::PhaseKind::DenseGate;
   std::size_t gates = 0;
   std::size_t hops = 0;
+  std::string_view kernel;  ///< cost_plan's kernel-class label
 
   double measured_seconds = 0.0;
   double modeled_seconds = 0.0;  ///< cost_plan local compute time

@@ -202,8 +202,8 @@ void sweep_batch(StateVector<T>* const* states, std::size_t batch,
   }
 
   // One read + one write of each state serves the whole sweep (in-block
-  // traffic stays in cache); this is the bytes label the drift report and
-  // trace viewers see for the sweep span.
+  // traffic stays in cache); this is the bytes label the trace viewers see
+  // for the sweep span.
   const std::uint64_t bytes =
       2 * pow2(n) * std::uint64_t{2 * sizeof(T)} * batch;
   observe_sweep(ctx.metrics(), count * batch, bytes);

@@ -14,7 +14,7 @@
 //  * DenseGate phases prepare each gate once per batch and run the same
 //    scalar kernels over the whole state (apply_prepared, the path
 //    apply_gate takes); every gate records its tracer span and counts
-//    toward the stats (so drift reports see blocked and unblocked runs
+//    toward the stats (so profiles see blocked and unblocked runs
 //    alike).
 //  * Exchange phases with moves_data perform the slot swaps on the full
 //    state — exactly the data movement the pairwise rank exchange performs;

@@ -92,16 +92,15 @@ TEST(Integration, CalibrationAnchorBoostMode) {
 TEST(Integration, PerfPipelineRanksMachinesLikeStream) {
   // For a memory-bound circuit the machine ranking must follow STREAM:
   // A64FX > ThunderX2 > Xeon.
-  const qc::Circuit c = qc::qft(26);
+  const sv::ExecutionPlan plan = sv::compile_plan(qc::qft(26), {});
   const double t_a64 =
-      perf::simulate_circuit(c, machine::MachineSpec::a64fx(), {})
-          .total_seconds;
+      perf::cost_plan(plan, machine::MachineSpec::a64fx(), {}).compute_seconds;
   const double t_tx2 =
-      perf::simulate_circuit(c, machine::MachineSpec::thunderx2_dual(), {})
-          .total_seconds;
+      perf::cost_plan(plan, machine::MachineSpec::thunderx2_dual(), {})
+          .compute_seconds;
   const double t_xeon =
-      perf::simulate_circuit(c, machine::MachineSpec::xeon_6148_dual(), {})
-          .total_seconds;
+      perf::cost_plan(plan, machine::MachineSpec::xeon_6148_dual(), {})
+          .compute_seconds;
   EXPECT_LT(t_a64, t_tx2);
   EXPECT_LT(t_tx2, t_xeon);
 }
@@ -153,13 +152,12 @@ TEST(Integration, DistributedQftProjectionEndToEnd) {
 }
 
 TEST(Integration, PowerPerfEnergySweepIsConsistent) {
-  const qc::Circuit c = qc::qft(24);
-  const auto normal = perf::estimate_power(
-      c, machine::MachineSpec::a64fx(), {});
-  const auto report = perf::simulate_circuit(
-      c, machine::MachineSpec::a64fx(), {});
-  EXPECT_NEAR(normal.seconds, report.total_seconds,
-              report.total_seconds * 1e-9);
+  const auto m = machine::MachineSpec::a64fx();
+  const perf::PlanCost cost =
+      perf::cost_plan(sv::compile_plan(qc::qft(24), {}), m, {});
+  const auto normal = perf::estimate_power(cost, m);
+  EXPECT_NEAR(normal.seconds, cost.compute_seconds,
+              cost.compute_seconds * 1e-9);
 }
 
 TEST(Integration, GroverWithNoiseDegradesSuccess) {

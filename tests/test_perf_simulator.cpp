@@ -13,6 +13,12 @@ using machine::MachineSpec;
 
 const MachineSpec kA64fx = MachineSpec::a64fx();
 
+/// Modeled seconds of `c` planned under `po`, priced on `m` under `cfg`.
+double plan_seconds(const qc::Circuit& c, const MachineSpec& m,
+                    const ExecConfig& cfg, const sv::PlanOptions& po = {}) {
+  return cost_plan(sv::compile_plan(c, po), m, cfg).compute_seconds;
+}
+
 TEST(PerfSimulator, GateTimeIsPositiveAndBandwidthBounded) {
   ExecConfig cfg;
   const GateTiming t = time_gate(qc::Gate::h(10), 28, kA64fx, cfg);
@@ -93,29 +99,26 @@ TEST(PerfSimulator, LowTargetQubitIsSlowerInCache) {
 TEST(PerfSimulator, CircuitReportAggregates) {
   const qc::Circuit c = qc::qft(20);
   ExecConfig cfg;
-  PerfOptions opts;
-  opts.record_trace = true;
-  const PerfReport r = simulate_circuit(c, kA64fx, cfg, opts);
+  const PlanCost r = cost_plan(sv::compile_plan(c, {}), kA64fx, cfg);
   EXPECT_EQ(r.num_gates, c.size());
-  EXPECT_EQ(r.trace.size(), c.size());
-  EXPECT_GT(r.total_seconds, 0.0);
+  EXPECT_EQ(r.phases.size(), c.size());
+  EXPECT_GT(r.compute_seconds, 0.0);
   EXPECT_GT(r.achieved_gflops(), 0.0);
   EXPECT_GT(r.achieved_bandwidth_gbps(), 0.0);
-  // Sum of per-kernel seconds equals the total.
+  // Sum of per-phase seconds equals the total.
   double sum = 0.0;
-  for (const auto& [k, s] : r.seconds_by_kernel) sum += s;
-  EXPECT_NEAR(sum, r.total_seconds, 1e-12);
+  for (const PhaseCost& p : r.phases) sum += p.seconds;
+  EXPECT_NEAR(sum, r.compute_seconds, 1e-12);
 }
 
 TEST(PerfSimulator, FusionReducesModeledTime) {
   const qc::Circuit c = qc::random_quantum_volume(24, 8, 5);
   ExecConfig cfg;
-  PerfOptions plain;
-  PerfOptions fused;
+  sv::PlanOptions fused;
   fused.fusion = true;
   fused.fusion_width = 4;
-  const double t_plain = simulate_circuit(c, kA64fx, cfg, plain).total_seconds;
-  const double t_fused = simulate_circuit(c, kA64fx, cfg, fused).total_seconds;
+  const double t_plain = plan_seconds(c, kA64fx, cfg);
+  const double t_fused = plan_seconds(c, kA64fx, cfg, fused);
   EXPECT_LT(t_fused, t_plain);
 }
 
@@ -124,10 +127,9 @@ TEST(PerfSimulator, A64fxBeatsXeonOnBigStates) {
   const qc::Circuit c = qc::qft(28);
   ExecConfig a64;
   ExecConfig xeon_cfg;
-  const double t_a64 = simulate_circuit(c, kA64fx, a64).total_seconds;
+  const double t_a64 = plan_seconds(c, kA64fx, a64);
   const double t_xeon =
-      simulate_circuit(c, MachineSpec::xeon_6148_dual(), xeon_cfg)
-          .total_seconds;
+      plan_seconds(c, MachineSpec::xeon_6148_dual(), xeon_cfg);
   EXPECT_GT(t_xeon / t_a64, 2.5);
   EXPECT_LT(t_xeon / t_a64, 6.0);
 }
@@ -153,18 +155,16 @@ TEST(PerfSimulator, VectorLengthMattersOnlyInCacheRegime) {
 TEST(PerfSimulator, BoostModeSpeedsUpCacheResidentWork) {
   const qc::Circuit c = qc::qft(14);  // L1/L2-resident
   ExecConfig cfg;
-  const double t_norm = simulate_circuit(c, kA64fx, cfg).total_seconds;
-  const double t_boost =
-      simulate_circuit(c, MachineSpec::a64fx_boost(), cfg).total_seconds;
+  const double t_norm = plan_seconds(c, kA64fx, cfg);
+  const double t_boost = plan_seconds(c, MachineSpec::a64fx_boost(), cfg);
   EXPECT_LT(t_boost, t_norm);
 }
 
 TEST(PerfSimulator, EcoModeBarelyHurtsMemoryBoundWork) {
   const qc::Circuit c = qc::qft(28);  // HBM-resident
   ExecConfig cfg;
-  const double t_norm = simulate_circuit(c, kA64fx, cfg).total_seconds;
-  const double t_eco =
-      simulate_circuit(c, MachineSpec::a64fx_eco(), cfg).total_seconds;
+  const double t_norm = plan_seconds(c, kA64fx, cfg);
+  const double t_eco = plan_seconds(c, MachineSpec::a64fx_eco(), cfg);
   EXPECT_LT(t_eco / t_norm, 1.10);  // within 10%
 }
 

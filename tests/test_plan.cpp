@@ -13,6 +13,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -25,6 +26,7 @@
 #include "qc/dense.hpp"
 #include "qc/library.hpp"
 #include "sv/engine.hpp"
+#include "sv/fusion.hpp"
 #include "sv/simulator.hpp"
 #include "sv/sweep.hpp"
 
@@ -449,6 +451,41 @@ TEST(CostPlan, MirrorsPlanStructure) {
   EXPECT_EQ(cost.num_windows, plan.num_windows());
   EXPECT_GT(cost.compute_seconds, 0.0);
   EXPECT_GT(cost.total_flops, 0.0);
+}
+
+TEST(CostPlan, UnblockedPlanIsThePerGateSum) {
+  // Without blocking every DenseGate phase holds one gate, so the plan cost
+  // is the per-gate model summed over the (fused) gate list, bit for bit.
+  const std::vector<Circuit> circuits = {qc::qft(16),
+                                         qc::random_quantum_volume(16, 6, 7)};
+  for (const auto& m : {machine::MachineSpec::a64fx(),
+                        machine::MachineSpec::xeon_6148_dual()}) {
+    for (const Circuit& c : circuits) {
+      for (const unsigned width : {0u, 3u, 5u}) {
+        SCOPED_TRACE(m.name + " width " + std::to_string(width));
+        PlanOptions po;
+        po.fusion = width > 0;
+        po.fusion_width = width;
+        FusionOptions fo;
+        fo.max_width = width;
+        const Circuit gates = po.fusion ? fuse(c, fo) : c;
+        double seconds = 0.0, flops = 0.0, bytes = 0.0;
+        for (const Gate& g : gates.gates()) {
+          const perf::GateTiming t =
+              perf::time_gate(g, c.num_qubits(), m, {});
+          seconds += t.seconds;
+          flops += t.cost.flops;
+          bytes += t.cost.bytes;
+        }
+        const perf::PlanCost cost = perf::cost_plan(compile_plan(c, po), m, {});
+        EXPECT_EQ(cost.num_gates, gates.size());
+        EXPECT_EQ(cost.phases.size(), gates.size());
+        EXPECT_EQ(cost.compute_seconds, seconds);
+        EXPECT_EQ(cost.total_flops, flops);
+        EXPECT_EQ(cost.total_bytes, bytes);
+      }
+    }
+  }
 }
 
 TEST(CostPlan, NodeSlotDiagonalsPricedPerWorstRank) {

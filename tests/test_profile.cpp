@@ -323,6 +323,114 @@ TEST(ProfileReport, PartialSamplePropagatesToReport) {
             std::string::npos);
 }
 
+// ---- drift view: `svsim project --drift` ----------------------------------
+
+/// Mirrors `svsim project --drift`: runs the circuit through the simulator
+/// under the profiler, captures the plan it executed, and joins the two.
+perf::ProfileReport drift_for(const qc::Circuit& circuit,
+                              unsigned fusion_width = 0) {
+  sv::SimulatorOptions opts;
+  opts.fusion = fusion_width > 0;
+  opts.fusion_width = fusion_width;
+  Profiler profiler;
+  profiler.install();
+  sv::PlanCaptureScope capture;
+  sv::Simulator<double>(opts).run(circuit);
+  profiler.uninstall();
+  const auto runs = profiler.runs();
+  const auto plans = capture.plans();
+  if (runs.size() != 1 || plans.size() != 1) {
+    ADD_FAILURE() << "expected one profiled run, got " << runs.size();
+    return {};
+  }
+  return perf::build_profile_report(runs.back(), plans.back(),
+                                    machine::MachineSpec::a64fx(), {});
+}
+
+/// The drift table's data rows (everything above the TOTAL row).
+std::size_t drift_rows(const Table& t) {
+  EXPECT_GE(t.num_rows(), 1u);
+  EXPECT_EQ(std::get<std::string>(t.row(t.num_rows() - 1)[0]), "TOTAL");
+  return t.num_rows() - 1;
+}
+
+TEST(Drift, KnownCircuitJoinsWithoutOrphans) {
+  const qc::Circuit circuit = qc::qft(6);
+  const perf::ProfileReport report = drift_for(circuit);
+  ASSERT_EQ(report.phases.size(), circuit.size());
+  for (const perf::PhaseProfile& p : report.phases) {
+    EXPECT_EQ(p.kind, sv::PhaseKind::DenseGate);
+    EXPECT_EQ(p.gates, 1u);
+    EXPECT_FALSE(p.kernel.empty());
+    EXPECT_GT(p.modeled_seconds, 0.0);  // every sample met its model phase
+  }
+  EXPECT_GT(report.measured_seconds, 0.0);
+  EXPECT_GT(report.modeled_seconds, 0.0);
+}
+
+TEST(Drift, FusedCircuitAlsoJoins) {
+  const perf::ProfileReport report = drift_for(qc::qft(6), 3);
+  EXPECT_GT(report.phases.size(), 0u);
+  EXPECT_LT(report.phases.size(), qc::qft(6).size());
+}
+
+TEST(Drift, RowCountsSumToMatched) {
+  const perf::ProfileReport report = drift_for(qc::ghz(6));
+  const Table t = perf::drift_phase_table(report);
+  const std::size_t rows = drift_rows(t);
+  std::int64_t phases = 0;
+  std::int64_t gates = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    phases += std::get<std::int64_t>(t.row(i)[1]);
+    gates += std::get<std::int64_t>(t.row(i)[2]);
+  }
+  const auto& total = t.row(rows);
+  EXPECT_EQ(phases, static_cast<std::int64_t>(report.phases.size()));
+  EXPECT_EQ(std::get<std::int64_t>(total[1]), phases);
+  EXPECT_EQ(std::get<std::int64_t>(total[2]), gates);
+  EXPECT_EQ(gates, static_cast<std::int64_t>(qc::ghz(6).size()));
+}
+
+TEST(Drift, RowsSortedByMeasuredTime) {
+  const Table t = perf::drift_phase_table(drift_for(qc::qft(7)));
+  const std::size_t rows = drift_rows(t);
+  for (std::size_t i = 1; i < rows; ++i)
+    EXPECT_GE(std::get<double>(t.row(i - 1)[3]),
+              std::get<double>(t.row(i)[3]));
+}
+
+TEST(Drift, TableHasRowPerKernelPlusTotal) {
+  // QFT runs h, controlled-phase and swap kernels: one dense_gate row each.
+  const Table t = perf::drift_phase_table(drift_for(qc::qft(6)));
+  const std::size_t rows = drift_rows(t);
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < rows; ++i)
+    labels.push_back(std::get<std::string>(t.row(i)[0]));
+  EXPECT_GE(labels.size(), 2u);
+  for (const std::string& label : labels)
+    EXPECT_EQ(label.rfind("dense_gate:", 0), 0u) << label;
+  std::sort(labels.begin(), labels.end());
+  EXPECT_EQ(std::adjacent_find(labels.begin(), labels.end()), labels.end());
+}
+
+TEST(Drift, DroppedSpansMarkReportPartial) {
+  auto r = profiled_blocked_qft();
+  const auto m = machine::MachineSpec::a64fx();
+  const perf::ProfileReport clean =
+      perf::build_profile_report(r.run, r.plan, m, {});
+  EXPECT_FALSE(clean.partial);
+  EXPECT_EQ(perf::drift_phase_table(clean).to_text().find("PARTIAL"),
+            std::string::npos);
+
+  r.run.phases[1].dropped_spans = 17;
+  const perf::ProfileReport partial =
+      perf::build_profile_report(r.run, r.plan, m, {});
+  EXPECT_TRUE(partial.partial);
+  EXPECT_NE(perf::drift_phase_table(partial).to_text().find(
+                "PARTIAL: tracer rings overflowed"),
+            std::string::npos);
+}
+
 TEST(ProfileReport, JsonArtifactIsStructurallySound) {
   const auto r = profiled_blocked_qft();
   const auto m = machine::MachineSpec::a64fx();

@@ -99,7 +99,8 @@ constexpr OptionSpec kOptionSpecs[] = {
     {"shots", true, false, "number of measurement shots (run)"},
     {"backend", true, false, "sv | sv32 | stab (run)"},
     {"precision", true, false,
-     "f64 | f32 amplitude precision (run/plan/profile/serve)"},
+     "f64 | f32 amplitude precision (run/project/plan/profile/timeline/"
+     "serve)"},
     {"simd", true, false,
      "force the kernel backend: scalar|generic|avx2|neon|sve (default: "
      "SVSIM_SIMD or runtime CPU detection)"},
@@ -108,8 +109,10 @@ constexpr OptionSpec kOptionSpecs[] = {
     {"block-qubits", true, false, "block size in qubits, 0 = auto (run)"},
     {"seed", true, false, "RNG seed"},
     {"machine", true, false, "machine model name (project)"},
-    {"threads", true, false, "modeled thread count (project)"},
-    {"affinity", true, false, "compact | scatter (project)"},
+    {"threads", true, false,
+     "modeled thread count (project/plan/profile/timeline); serve workers"},
+    {"affinity", true, false,
+     "compact | scatter (project/plan/profile/timeline)"},
     {"qft", true, false, "use a QFT circuit of N qubits"},
     {"qv", true, true, "use a quantum-volume circuit of N qubits [depth D]"},
     {"ranks", true, false, "rank count (power of two) for `plan`"},
@@ -196,14 +199,28 @@ machine::MachineSpec machine_by_name(const std::string& name) {
               "' (try a64fx, a64fx-boost, a64fx-eco, fx700, xeon, tx2)");
 }
 
-/// --precision: amplitude scalar size in bytes (f64 default). `run` also
-/// honors the legacy `--backend sv32` spelling; both reach the same
-/// Simulator<float> path.
+/// --precision: amplitude scalar size in bytes (f64 default). The legacy
+/// `run --backend sv32` spelling also selects f32.
 unsigned element_bytes_from_args(const Args& args) {
+  if (args.get("backend", "sv") == "sv32") return 4;
   const std::string p = args.get("precision", "f64");
   if (p == "f64") return 8;
   if (p == "f32") return 4;
   throw Error("unknown precision '" + p + "' (f64, f32)");
+}
+
+/// The modeled execution config of every command that prices a plan:
+/// --threads, --affinity and the element size of --precision. The two
+/// measured paths (`profile`, `run --profile`) add the active backend's
+/// vector width.
+machine::ExecConfig exec_config_from_args(const Args& args) {
+  machine::ExecConfig cfg;
+  if (args.flag("threads"))
+    cfg.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
+  if (args.get("affinity", "compact") == "scatter")
+    cfg.affinity = machine::Affinity::Scatter;
+  cfg.element_bytes = element_bytes_from_args(args);
+  return cfg;
 }
 
 qc::Circuit load_circuit(const Args& args) {
@@ -401,7 +418,7 @@ int cmd_run(const Args& args) {
 
   require(backend == "sv" || backend == "sv32",
           "unknown backend '" + backend + "' (sv, sv32, stab)");
-  const bool f32 = backend == "sv32" || element_bytes_from_args(args) == 4;
+  const bool f32 = element_bytes_from_args(args) == 4;
   if (f32) {
     sv::Simulator<float> sim(opts);
     print_counts(sim.sample_counts(circuit, shots));
@@ -420,11 +437,7 @@ int cmd_run(const Args& args) {
     // The most recent run and plan always correspond, whatever the shot
     // strategy (single sampled run or per-shot trajectories) did.
     const auto m = machine_by_name(args.get("machine", "a64fx"));
-    machine::ExecConfig cfg;
-    if (args.flag("threads"))
-      cfg.threads =
-          static_cast<unsigned>(std::stoul(args.get("threads", "0")));
-    cfg.element_bytes = f32 ? 4 : 8;
+    machine::ExecConfig cfg = exec_config_from_args(args);
     cfg.vector_bits = sv::simd::effective_vector_bits(cfg.element_bytes);
     const perf::ProfileReport report =
         perf::build_profile_report(runs.back(), plans.back(), m, cfg);
@@ -477,61 +490,45 @@ int cmd_run(const Args& args) {
 int cmd_project(const Args& args) {
   const qc::Circuit circuit = load_circuit(args);
   const auto m = machine_by_name(args.get("machine", "a64fx"));
-  machine::ExecConfig cfg;
-  if (args.flag("threads"))
-    cfg.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
-  if (args.get("affinity", "compact") == "scatter")
-    cfg.affinity = machine::Affinity::Scatter;
-  perf::PerfOptions opts;
+  const machine::ExecConfig cfg = exec_config_from_args(args);
+  sv::PlanOptions po;
   if (args.flag("fusion")) {
-    opts.fusion = true;
-    opts.fusion_width =
+    po.fusion = true;
+    po.fusion_width =
         static_cast<unsigned>(std::stoul(args.get("fusion", "3")));
   }
-  opts.record_trace = args.flag("trace") || args.flag("drift");
 
-  const auto report = perf::simulate_circuit(circuit, m, cfg, opts);
-  perf::summary_table(report).print(std::cout);
-  perf::kernel_breakdown_table(report).print(std::cout);
-  if (args.flag("trace")) perf::trace_table(report).print(std::cout);
-  const auto power = perf::estimate_power(circuit, m, cfg, opts);
-  perf::power_table({{m.name, power}}).print(std::cout);
+  const perf::PlanCost cost =
+      perf::cost_plan(sv::compile_plan(circuit, po), m, cfg);
+  perf::summary_table(cost).print(std::cout);
+  perf::kernel_breakdown_table(cost).print(std::cout);
+  if (args.flag("trace")) perf::trace_table(cost).print(std::cout);
+  perf::power_table({{m.name, perf::estimate_power(cost, m)}})
+      .print(std::cout);
 
   if (args.flag("drift")) {
-    // Execute the circuit for real under the tracer and join the measured
-    // spans against the prediction. The comparison is honest only when the
-    // modeled machine resembles the host; the ratio column quantifies it.
+    // Execute the circuit for real under the phase profiler and join the
+    // measured phases against the model of the plan the run executed. The
+    // comparison is honest only when the modeled machine resembles the
+    // host; the ratio column quantifies it.
     sv::SimulatorOptions sopts;
-    sopts.fusion = opts.fusion;
-    sopts.fusion_width = opts.fusion_width;
-    obs::Tracer& tracer = obs::Tracer::global();
-    tracer.clear();
-    tracer.enable();
+    sopts.fusion = po.fusion;
+    sopts.fusion_width = po.fusion_width;
     obs::Profiler profiler;
     profiler.install();
     sv::PlanCaptureScope capture;
-    sv::Simulator<double> sim(sopts);
-    sim.run(circuit);
+    if (cfg.element_bytes == 4)
+      sv::Simulator<float>(sopts).run(circuit);
+    else
+      sv::Simulator<double>(sopts).run(circuit);
     profiler.uninstall();
-    tracer.disable();
-    const auto drift =
-        perf::drift_report(report, tracer.collect(), tracer.dropped());
-    perf::drift_table(drift).print(std::cout);
-    // Per-phase section: the same drift attributed to the ExecutionPlan
-    // phases the run actually executed.
     const auto runs = profiler.runs();
     const auto plans = capture.plans();
-    if (!runs.empty() && runs.size() == plans.size())
-      perf::drift_phase_table(
-          perf::build_profile_report(runs.back(), plans.back(), m, cfg))
-          .print(std::cout);
-    if (drift.partial())
-      std::cerr << "warning: tracer dropped " << drift.dropped_spans
-                << " spans to ring wraparound; the drift join is partial\n";
-    if (drift.orphan_spans > 0 || drift.orphan_model > 0)
-      std::cerr << "warning: " << drift.orphan_spans << " measured / "
-                << drift.orphan_model
-                << " modeled gates had no join partner\n";
+    require(!runs.empty() && runs.size() == plans.size(),
+            "--drift: the run executed no profiled plan");
+    perf::drift_phase_table(
+        perf::build_profile_report(runs.back(), plans.back(), m, cfg))
+        .print(std::cout);
   }
   return 0;
 }
@@ -588,11 +585,7 @@ int cmd_plan(const Args& args) {
     // modeled commands when --machine was omitted.
     const machine::MachineSpec tm =
         m ? *m : machine_by_name(args.get("machine", "a64fx"));
-    machine::ExecConfig cfg;
-    if (args.flag("threads"))
-      cfg.threads =
-          static_cast<unsigned>(std::stoul(args.get("threads", "0")));
-    write_timeline_artifact(plan, tm, cfg,
+    write_timeline_artifact(plan, tm, exec_config_from_args(args),
                             interconnect_by_name(args.get("net", "tofu")),
                             straggler_from_args(args),
                             args.get("timeline", "-"));
@@ -603,10 +596,7 @@ int cmd_plan(const Args& args) {
 int cmd_profile(const Args& args) {
   const qc::Circuit circuit = load_circuit(args);
   const auto m = machine_by_name(args.get("machine", "a64fx"));
-  machine::ExecConfig cfg;
-  if (args.flag("threads"))
-    cfg.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
-  cfg.element_bytes = element_bytes_from_args(args);
+  machine::ExecConfig cfg = exec_config_from_args(args);
   cfg.vector_bits = sv::simd::effective_vector_bits(cfg.element_bytes);
   const sv::ExecutionPlan plan = compile_plan_from_args(args, circuit, &m);
 
@@ -687,9 +677,7 @@ int cmd_profile(const Args& args) {
 int cmd_timeline(const Args& args) {
   const qc::Circuit circuit = load_circuit(args);
   const auto m = machine_by_name(args.get("machine", "a64fx"));
-  machine::ExecConfig cfg;
-  if (args.flag("threads"))
-    cfg.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
+  const machine::ExecConfig cfg = exec_config_from_args(args);
   const sv::ExecutionPlan plan = compile_plan_from_args(args, circuit, &m);
   const dist::InterconnectSpec net =
       interconnect_by_name(args.get("net", "tofu"));
