@@ -8,6 +8,14 @@
 //
 // The pool also exposes `parallel_reduce` for norms/probabilities and a
 // per-worker RNG substream facility for parallel sampling.
+//
+// One fork rule sizes every parallel region over a state: a region forks
+// the pool only when it touches at least kForkAmplitudes amplitudes, and
+// fork_cutoff() below turns that into the item cutoff of one parallel_for /
+// parallel_reduce call. Every region in src/sv passes fork_cutoff(...);
+// none keeps a cutoff of its own. Below the crossover the region runs
+// inline on the caller, which for a few thousand amplitudes is an order of
+// magnitude cheaper than waking and joining the workers.
 #pragma once
 
 #include <atomic>
@@ -79,6 +87,23 @@ struct PoolStats {
   std::uint64_t inline_regions = 0;    ///< regions run inline (cutoff/nested)
   std::uint64_t items = 0;             ///< total loop iterations dispatched
 };
+
+/// The fork crossover, in amplitudes: a region that touches fewer runs
+/// inline. Set where forking starts to pay on the 2-thread pools of the
+/// trajectory service: on a 4-core 2.0 GHz AVX2 Xeon a fork/join costs
+/// about 17 us and the gate kernels stream an in-cache amplitude in about
+/// 0.5 ns, so a region of W amplitudes saves W * 0.5 ns / 2 on two threads
+/// and breaks even near 2^16.
+inline constexpr std::uint64_t kForkAmplitudes = std::uint64_t{1} << 16;
+
+/// The serial_cutoff of a parallel_for / parallel_reduce whose items each
+/// touch `amps_per_item` amplitudes: the region forks from kForkAmplitudes
+/// amplitudes up, and a region of one item never forks.
+constexpr std::uint64_t fork_cutoff(std::uint64_t amps_per_item) noexcept {
+  const std::uint64_t items =
+      (kForkAmplitudes + amps_per_item - 1) / amps_per_item;
+  return items < 2 ? 2 : items;
+}
 
 /// Fork-join worker pool. Thread-safe for one parallel region at a time;
 /// nested parallelism is not supported (inner calls run sequentially on the

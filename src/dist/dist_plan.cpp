@@ -325,7 +325,9 @@ sv::ExecutionPlan compile_distributed(const Circuit& circuit,
   }
 
   DistCompiler compiler(*source, options);
-  return compiler.run(node_qubits, circuit.num_clbits());
+  sv::ExecutionPlan plan = compiler.run(node_qubits, circuit.num_clbits());
+  plan.fused = options.plan.fusion;
+  return plan;
 }
 
 }  // namespace svsim::dist

@@ -187,8 +187,7 @@ void sweep_batch(StateVector<T>* const* states, std::size_t batch,
   const unsigned b = block_qubits;
   for (std::size_t i = 0; i < batch; ++i) {
     std::complex<T>* psi = states[i]->data();
-    // serial_cutoff=2: blocks are large, so even two of them are worth
-    // forking; the static partition mirrors the first-touch layout.
+    // The static partition over blocks mirrors the first-touch layout.
     states[i]->pool().parallel_for(
         pow2(n - b),
         [psi, pgs, count, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
@@ -198,7 +197,7 @@ void sweep_batch(StateVector<T>* const* states, std::size_t batch,
               apply_gate_in_block(block, b, pgs[g]);
           }
         },
-        /*serial_cutoff=*/2);
+        fork_cutoff(pow2(b)));
   }
 
   // One read + one write of each state serves the whole sweep (in-block
@@ -257,12 +256,14 @@ EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
     require(s->num_qubits() == n, "run_plan: state/plan width mismatch");
   }
   require(!hooks.after_gate ||
-              std::none_of(plan.phases.begin(), plan.phases.end(),
-                           [](const PlanPhase& p) {
-                             return p.kind == PhaseKind::LocalSweep;
-                           }),
-          "run_plan: after_gate hooks (noise) need a plan without "
-          "LocalSweep phases; compile it with blocking off");
+              (!plan.fused &&
+               std::none_of(plan.phases.begin(), plan.phases.end(),
+                            [](const PlanPhase& p) {
+                              return p.kind == PhaseKind::LocalSweep;
+                            })),
+          "run_plan: after_gate hooks (noise) need a plan that keeps the "
+          "circuit's gates; compile it with fusion and blocking off "
+          "(keep_gates_for_noise)");
   const std::size_t batch = states.size();
   StateVector<T>& first = *states.front();
 

@@ -109,17 +109,19 @@ void apply_matrix1_pairwise(std::complex<T>* psi, unsigned n, unsigned t,
   const std::complex<T> m10 = detail::cast_c<T>(u(1, 0));
   const std::complex<T> m11 = detail::cast_c<T>(u(1, 1));
   const std::uint64_t tbit = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t i0 = insert_zero_bit(c, t);
-      const std::uint64_t i1 = i0 | tbit;
-      const std::complex<T> a0 = psi[i0];
-      const std::complex<T> a1 = psi[i1];
-      psi[i0] = m00 * a0 + m01 * a1;
-      psi[i1] = m10 * a0 + m11 * a1;
-    }
-  });
+  pool.parallel_for(
+      pow2(n - 1),
+      [=](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t c = b; c < e; ++c) {
+          const std::uint64_t i0 = insert_zero_bit(c, t);
+          const std::uint64_t i1 = i0 | tbit;
+          const std::complex<T> a0 = psi[i0];
+          const std::complex<T> a1 = psi[i1];
+          psi[i0] = m00 * a0 + m01 * a1;
+          psi[i1] = m10 * a0 + m11 * a1;
+        }
+      },
+      fork_cutoff(2));
 }
 
 // ---- the kernel family and its dispatch tables ------------------------------
@@ -139,6 +141,7 @@ void apply_matrix1_pairwise(std::complex<T>* psi, unsigned n, unsigned t,
 //    [0, work_items) across the pool; the blocked engine owns one
 //    parallel_for over blocks (statically partitioned so each worker streams
 //    the pages it first-touched) and runs each kernel over its full range.
+//    Both fork under the one fork rule (fork_cutoff, common/threading.hpp).
 //    A kernel must never re-enter the pool.
 //  * Partition invariance: an amplitude gets the same arithmetic wherever
 //    a range boundary falls, so results depend neither on the pool size
@@ -505,7 +508,10 @@ extern template PreparedGate<float> prepare_gate<float>(const qc::Gate&);
 extern template PreparedGate<double> prepare_gate<double>(const qc::Gate&);
 
 /// Applies a prepared gate to a whole 2^n-amplitude state: the active
-/// backend's kernel over [0, work_items), split across `pool`.
+/// backend's kernel over [0, work_items), split across `pool` when the state
+/// reaches the fork crossover (each item stands for 2^n / work_items
+/// amplitudes: its operand subspace and the controlled-off amplitudes
+/// between).
 /// Precondition: every operand qubit < n.
 template <typename T>
 inline void apply_prepared(std::complex<T>* psi, unsigned n,
@@ -513,10 +519,13 @@ inline void apply_prepared(std::complex<T>* psi, unsigned n,
   if (pg.cls == KernelClass::Nop) return;
   const RangeKernelFn<T> kernel =
       active_kernels<T>()[static_cast<std::size_t>(pg.cls)];
-  pool.parallel_for(detail::blk::work_items(pg, n),
-                    [=, &pg](unsigned, std::uint64_t b, std::uint64_t e) {
-                      kernel(psi, n, pg, b, e);
-                    });
+  const std::uint64_t items = detail::blk::work_items(pg, n);
+  pool.parallel_for(
+      items,
+      [=, &pg](unsigned, std::uint64_t b, std::uint64_t e) {
+        kernel(psi, n, pg, b, e);
+      },
+      fork_cutoff(pow2(n) / items));
 }
 
 /// Applies a prepared gate serially to one aligned block of 2^nb amplitudes:

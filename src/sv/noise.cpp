@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
-#include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 
 namespace svsim::sv {
@@ -35,13 +35,8 @@ void apply_amplitude_damping(StateVector<T>& state,
                              const std::vector<unsigned>& qubits,
                              double gamma, Xoshiro256& rng) {
   std::complex<T>* psi = state.data();
-  const unsigned n = state.num_qubits();
-  // No-jump Kraus operator K0 = diag(1, √(1-γ)) as a Diag1 kernel,
-  // retargeted to each qubit.
-  PreparedGate<T> k0;
-  k0.cls = KernelClass::Diag1;
-  k0.qubits = k0.sorted = {0};
-  k0.coeff = {T{1}, static_cast<T>(std::sqrt(1.0 - gamma))};
+  const std::uint64_t half = state.size() / 2;
+  const T keep1 = static_cast<T>(std::sqrt(1.0 - gamma));
   for (unsigned q : qubits) {
     const double p1 = state.probability_of_one(q);
     const double p_jump = gamma * p1;
@@ -50,26 +45,31 @@ void apply_amplitude_damping(StateVector<T>& state,
       // normalization the state is the post-jump trajectory.
       const T scale = static_cast<T>(1.0 / std::sqrt(p1));
       state.pool().parallel_for(
-          pow2(n - 1), [psi, q, scale](unsigned, std::uint64_t b,
-                                       std::uint64_t e) {
+          half,
+          [psi, q, scale](unsigned, std::uint64_t b, std::uint64_t e) {
             for (std::uint64_t c = b; c < e; ++c) {
               const std::uint64_t i0 = insert_zero_bit(c, q);
               const std::uint64_t i1 = i0 | pow2(q);
               psi[i0] = psi[i1] * scale;
               psi[i1] = {};
             }
-          });
+          },
+          fork_cutoff(2));
     } else {
-      // Apply K0, then renormalize by the no-jump probability 1 - γ·p1.
-      k0.target = k0.qubits[0] = k0.sorted[0] = q;
-      k0.mask = pow2(q);
-      apply_prepared(psi, n, k0, state.pool());
-      const double p_nojump = 1.0 - p_jump;
-      const T scale = static_cast<T>(1.0 / std::sqrt(p_nojump));
+      // No jump: K0 = diag(1, √(1-γ)), then renormalize by the no-jump
+      // probability 1 - γ·p1, in one pass over each pair.
+      const T scale = static_cast<T>(1.0 / std::sqrt(1.0 - p_jump));
       state.pool().parallel_for(
-          pow2(n), [psi, scale](unsigned, std::uint64_t b, std::uint64_t e) {
-            for (std::uint64_t i = b; i < e; ++i) psi[i] *= scale;
-          });
+          half,
+          [psi, q, keep1, scale](unsigned, std::uint64_t b, std::uint64_t e) {
+            for (std::uint64_t c = b; c < e; ++c) {
+              const std::uint64_t i0 = insert_zero_bit(c, q);
+              const std::uint64_t i1 = i0 | pow2(q);
+              psi[i0] *= scale;
+              psi[i1] = (psi[i1] * keep1) * scale;
+            }
+          },
+          fork_cutoff(2));
     }
   }
 }

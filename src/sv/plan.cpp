@@ -273,6 +273,12 @@ void note_plan_compiled(const ExecutionPlan& plan,
       .add(static_cast<std::uint64_t>(plan.exchange_bytes_per_rank));
 }
 
+void keep_gates_for_noise(PlanOptions& options, bool gate_noise) {
+  if (!gate_noise) return;
+  options.fusion = false;
+  options.blocking = false;
+}
+
 ExecutionPlan compile_plan(const qc::Circuit& circuit,
                            const PlanOptions& options) {
   const unsigned n = circuit.num_qubits();
@@ -293,6 +299,7 @@ ExecutionPlan compile_plan(const qc::Circuit& circuit,
   plan.node_qubits = 0;
   plan.local_qubits = n;
   plan.num_clbits = circuit.num_clbits();
+  plan.fused = options.fusion;
   if (options.blocking) {
     plan.block_qubits =
         options.block_qubits != 0

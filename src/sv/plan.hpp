@@ -93,6 +93,9 @@ struct ExecutionPlan {
   unsigned local_qubits = 0;  ///< num_qubits - node_qubits
   unsigned block_qubits = 0;  ///< 0 = no LocalSweep phases were planned
   unsigned num_clbits = 0;
+  /// True when the fusion pass ran: the plan's gates need not be the
+  /// circuit's gates one for one, so per-gate noise hooks cannot run it.
+  bool fused = false;
   std::vector<PlanPhase> phases;
   /// slot_of[logical qubit] after the plan runs (identity unless a
   /// distributed compiler left the register permuted).
@@ -163,6 +166,13 @@ struct PlanOptions {
   /// registry.
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+/// Turns off the passes that merge gates (fusion and LocalSweep grouping)
+/// when `gate_noise` is set: trajectory noise draws after every circuit
+/// gate, so a noisy plan keeps the circuit's gates one for one. Every
+/// compile of a plan that gate noise will run goes through here
+/// (Simulator::run_in_place, svc::plan_options_for).
+void keep_gates_for_noise(PlanOptions& options, bool gate_noise);
 
 /// The cache budget auto block sizing will use under `options` (explicit
 /// bytes > machine-derived per-core LLC share > 512 KiB fallback).

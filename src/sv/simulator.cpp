@@ -47,10 +47,9 @@ void Simulator<T>::run_in_place(StateVector<T>& state,
   PlanOptions po;
   po.fusion = options_.fusion;
   po.fusion_width = options_.fusion_width;
-  // Noise channels must sample after every individual gate, so the blocked
-  // path only serves noiseless execution.
-  po.blocking = options_.blocking && options_.noise.empty();
+  po.blocking = options_.blocking;
   po.block_qubits = options_.block_qubits;
+  keep_gates_for_noise(po, !options_.noise.channels().empty());
   po.amp_bytes = 2 * sizeof(T);
   po.machine = options_.machine;
   po.metrics = &ctx().metrics();

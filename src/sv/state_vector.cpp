@@ -44,10 +44,12 @@ template <typename T>
 void StateVector<T>::set_basis_state(std::uint64_t basis) {
   require(basis < size(), "set_basis_state: basis index out of range");
   value_type* psi = amps_.data();
-  pool_->parallel_for(size(), [psi](unsigned, std::uint64_t b,
-                                    std::uint64_t e) {
-    std::fill(psi + b, psi + e, value_type{});
-  });
+  pool_->parallel_for(
+      size(),
+      [psi](unsigned, std::uint64_t b, std::uint64_t e) {
+        std::fill(psi + b, psi + e, value_type{});
+      },
+      fork_cutoff(1));
   psi[basis] = value_type{T{1}, T{0}};
 }
 
@@ -56,12 +58,14 @@ void StateVector<T>::set_state(std::span<const std::complex<double>> state) {
   require(state.size() == size(), "set_state: size mismatch");
   value_type* psi = amps_.data();
   const std::complex<double>* src = state.data();
-  pool_->parallel_for(size(), [psi, src](unsigned, std::uint64_t b,
-                                         std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i)
-      psi[i] = value_type{static_cast<T>(src[i].real()),
-                          static_cast<T>(src[i].imag())};
-  });
+  pool_->parallel_for(
+      size(),
+      [psi, src](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i)
+          psi[i] = value_type{static_cast<T>(src[i].real()),
+                              static_cast<T>(src[i].imag())};
+      },
+      fork_cutoff(1));
 }
 
 template <typename T>
@@ -77,14 +81,16 @@ template <typename T>
 double StateVector<T>::norm_squared() const {
   const value_type* psi = amps_.data();
   return pool_->parallel_reduce(
-      size(), [psi](unsigned, std::uint64_t b, std::uint64_t e) {
+      size(),
+      [psi](unsigned, std::uint64_t b, std::uint64_t e) {
         double acc = 0.0;
         for (std::uint64_t i = b; i < e; ++i) {
           acc += static_cast<double>(psi[i].real()) * psi[i].real() +
                  static_cast<double>(psi[i].imag()) * psi[i].imag();
         }
         return acc;
-      });
+      },
+      fork_cutoff(1));
 }
 
 template <typename T>
@@ -93,10 +99,12 @@ void StateVector<T>::normalize() {
   require(n2 > 0.0, "normalize: zero state");
   const T inv = static_cast<T>(1.0 / std::sqrt(n2));
   value_type* psi = amps_.data();
-  pool_->parallel_for(size(),
-                      [psi, inv](unsigned, std::uint64_t b, std::uint64_t e) {
-                        for (std::uint64_t i = b; i < e; ++i) psi[i] *= inv;
-                      });
+  pool_->parallel_for(
+      size(),
+      [psi, inv](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i) psi[i] *= inv;
+      },
+      fork_cutoff(1));
 }
 
 template <typename T>
@@ -107,24 +115,29 @@ std::complex<double> StateVector<T>::inner_product(
   const value_type* b = other.amps_.data();
   // Two reductions (real and imaginary part); simpler than a complex-typed
   // reduce and still one pass each through cache-resident test sizes.
+  // Each item reads one amplitude of each state.
   const double re = pool_->parallel_reduce(
-      size(), [a, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
+      size(),
+      [a, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
         double acc = 0.0;
         for (std::uint64_t i = lo; i < hi; ++i) {
           acc += static_cast<double>(a[i].real()) * b[i].real() +
                  static_cast<double>(a[i].imag()) * b[i].imag();
         }
         return acc;
-      });
+      },
+      fork_cutoff(2));
   const double im = pool_->parallel_reduce(
-      size(), [a, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
+      size(),
+      [a, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
         double acc = 0.0;
         for (std::uint64_t i = lo; i < hi; ++i) {
           acc += static_cast<double>(a[i].real()) * b[i].imag() -
                  static_cast<double>(a[i].imag()) * b[i].real();
         }
         return acc;
-      });
+      },
+      fork_cutoff(2));
   return {re, im};
 }
 
@@ -134,13 +147,26 @@ double StateVector<T>::probability_of_one(unsigned q) const {
   const value_type* psi = amps_.data();
   const std::uint64_t half = size() / 2;
   // Fixed-chunk reduction (same scheme as sample()): per-chunk partials are
-  // computed in parallel but summed in chunk order, so the result is
-  // bit-identical for ANY pool size. This feeds measure() and therefore
+  // summed in chunk order, so the result is bit-identical for ANY pool size
+  // and whether or not the region forks. This feeds measure() and therefore
   // every trajectory's RNG comparisons — a plain parallel_reduce would make
   // measurement outcomes depend on how many workers the caller's pool has,
   // breaking the serve guarantee that `--threads N` (per-worker pool
   // slices) reproduces `--threads 1` results exactly.
   const std::uint64_t num_chunks = std::min<std::uint64_t>(half, 1u << 12);
+  if (num_chunks == half) {
+    // One amplitude per chunk, far below the fork crossover: the chunk sums
+    // are the terms themselves, so summing the terms in index order gives
+    // the same bits. Walk the |1> runs of qubit q.
+    double total = 0.0;
+    for (std::uint64_t base = pow2(q); base < size(); base += pow2(q + 1)) {
+      for (std::uint64_t i = base; i < base + pow2(q); ++i) {
+        total += static_cast<double>(psi[i].real()) * psi[i].real() +
+                 static_cast<double>(psi[i].imag()) * psi[i].imag();
+      }
+    }
+    return total;
+  }
   const std::uint64_t chunk = half / num_chunks;
   std::vector<double> partial(num_chunks, 0.0);
   double* part = partial.data();
@@ -157,7 +183,7 @@ double StateVector<T>::probability_of_one(unsigned q) const {
           part[k] = acc;
         }
       },
-      /*serial_cutoff=*/8);
+      fork_cutoff(chunk));
   double total = 0.0;
   for (std::uint64_t k = 0; k < num_chunks; ++k) total += partial[k];
   return total;
@@ -191,8 +217,8 @@ void StateVector<T>::collapse(unsigned q, bool outcome, double prob_outcome) {
   value_type* psi = amps_.data();
   const std::uint64_t half = size() / 2;
   pool_->parallel_for(
-      half, [psi, q, outcome, scale](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
+      half,
+      [psi, q, outcome, scale](unsigned, std::uint64_t b, std::uint64_t e) {
         for (std::uint64_t c = b; c < e; ++c) {
           const std::uint64_t i0 = insert_zero_bit(c, q);
           const std::uint64_t i1 = i0 | pow2(q);
@@ -201,7 +227,8 @@ void StateVector<T>::collapse(unsigned q, bool outcome, double prob_outcome) {
           psi[keep] *= scale;
           psi[kill] = value_type{};
         }
-      });
+      },
+      fork_cutoff(2));
 }
 
 template <typename T>
@@ -219,15 +246,17 @@ void StateVector<T>::reset_qubit(unsigned q, Xoshiro256& rng) {
     // collapsed state is just a relabeling because the |0> half is zero).
     value_type* psi = amps_.data();
     const std::uint64_t half = size() / 2;
-    pool_->parallel_for(half, [psi, q](unsigned, std::uint64_t b,
-                                       std::uint64_t e) {
-      for (std::uint64_t c = b; c < e; ++c) {
-        const std::uint64_t i0 = insert_zero_bit(c, q);
-        const std::uint64_t i1 = i0 | pow2(q);
-        psi[i0] = psi[i1];
-        psi[i1] = value_type{};
-      }
-    });
+    pool_->parallel_for(
+        half,
+        [psi, q](unsigned, std::uint64_t b, std::uint64_t e) {
+          for (std::uint64_t c = b; c < e; ++c) {
+            const std::uint64_t i0 = insert_zero_bit(c, q);
+            const std::uint64_t i1 = i0 | pow2(q);
+            psi[i0] = psi[i1];
+            psi[i1] = value_type{};
+          }
+        },
+        fork_cutoff(2));
   }
 }
 
@@ -253,7 +282,7 @@ std::vector<std::uint64_t> StateVector<T>::sample(std::size_t shots,
           cum[k + 1] = acc;
         }
       },
-      /*serial_cutoff=*/8);
+      fork_cutoff(chunk));
   for (std::uint64_t k = 0; k < num_chunks; ++k) cum[k + 1] += cum[k];
   const double total = cum[num_chunks];
 
@@ -303,7 +332,8 @@ double StateVector<T>::expectation(const qc::PauliString& pauli) const {
           acc += sign * (std::conj(a) * c).real();
         }
         return acc;
-      });
+      },
+      fork_cutoff(1));
   const double im = (y_count % 2 == 1)
                         ? pool_->parallel_reduce(
                               size(),
@@ -323,7 +353,8 @@ double StateVector<T>::expectation(const qc::PauliString& pauli) const {
                                   acc += sign * (std::conj(a) * c).imag();
                                 }
                                 return acc;
-                              })
+                              },
+                              fork_cutoff(1))
                         : 0.0;
   // Multiply by i^{y_count}: rotate (re, im) accordingly and keep the real
   // part, which is the Hermitian expectation value.

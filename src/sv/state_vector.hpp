@@ -2,7 +2,8 @@
 //
 // Owns an aligned array of std::complex<T> (T = float or double; the paper's
 // precision study needs both). Allocation is uninitialized and the |0...0>
-// fill runs through the thread pool so pages are first-touched by the
+// fill runs through the thread pool under the fork rule (common/threading.hpp)
+// so the pages of any state past the fork crossover are first-touched by the
 // workers that will stream them (NUMA-correct on real multi-socket/CMG
 // machines). States of 2 MiB or more are 2 MiB-aligned and advised for
 // transparent huge pages before that fill.

@@ -103,10 +103,9 @@ sv::PlanOptions plan_options_for(const JobRequest& req,
   sv::PlanOptions po;
   po.fusion = req.fusion;
   po.fusion_width = req.fusion_width;
-  // Mirrors Simulator::run_in_place: channels sample after every gate, so
-  // the blocked path only serves noiseless execution.
-  po.blocking = req.blocking && req.noise.channels().empty();
+  po.blocking = req.blocking;
   po.block_qubits = req.block_qubits;
+  sv::keep_gates_for_noise(po, !req.noise.channels().empty());
   // f32 amplitudes halve the footprint, so auto-sized blocks go twice as
   // deep; amp_bytes also feeds the plan fingerprint, keeping precisions in
   // separate cache entries.

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/threading.hpp"
+#include "dm/density_matrix.hpp"
 #include "machine/machine_spec.hpp"
 #include "obs/metrics.hpp"
 #include "qc/circuit.hpp"
@@ -405,6 +407,95 @@ TEST(Service, TrajectoryResultsInvariantToBatchSplit) {
   // Trajectory i is seeded by its global index, so the histogram cannot
   // depend on how the shots were grouped into batches.
   EXPECT_EQ(ra.counts, rb.counts);
+}
+
+TEST(Service, NoisyTrajectoryJobBelowCrossoverNeverForks) {
+  // Every measurement and damping step reduces the state once; a 10-qubit
+  // state is far below the fork crossover, so a whole noisy job runs on
+  // the worker's thread without one fork/join of its 2-thread pool.
+  ThreadPool pool(2);
+  svc::ServiceOptions opts;
+  opts.pool = &pool;
+  svc::Service service(opts);
+  svc::JobRequest req = qft_job("noisy10", 10, 16, 3);
+  req.noise.add_amplitude_damping(0.02).add_depolarizing(0.01);
+  pool.reset_stats();
+  const auto result = service.run_job(req);
+  ASSERT_TRUE(result.ok) << result.error_message;
+  EXPECT_EQ(result.mode, "trajectory");
+  EXPECT_EQ(pool.stats().parallel_regions, 0u);
+  EXPECT_GT(pool.stats().inline_regions, 0u);
+}
+
+TEST(Service, FusionDoesNotWeakenGateNoise) {
+  // Gate noise draws after every circuit gate. A fused plan would draw once
+  // per fused gate (GHZ-4 fuses to fewer gates at width 4), so the noisy
+  // job must run unfused and match the exact channel evolution.
+  qc::Circuit unitary(4);
+  unitary.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
+  qc::Circuit circuit(4, 4);
+  for (const auto& g : unitary.gates()) circuit.append(g);
+  circuit.measure_all();
+  constexpr std::size_t kShots = 4000;
+  struct Case {
+    const char* name;
+    sv::NoiseModel noise;
+  };
+  std::vector<Case> cases(2);
+  cases[0].name = "bit_flip 0.2";
+  cases[0].noise.add_bit_flip(0.2);
+  cases[1].name = "depolarizing 0.3";
+  cases[1].noise.add_depolarizing(0.3);
+  for (const Case& c : cases) {
+    svc::JobRequest req;
+    req.id = "ghz";
+    req.circuit = circuit;
+    req.shots = kShots;
+    req.seed = 5;
+    req.fusion = true;
+    req.fusion_width = 4;
+    req.noise = c.noise;
+    svc::Service service{svc::ServiceOptions{}};
+    const auto result = service.run_job(req);
+    ASSERT_TRUE(result.ok) << result.error_message;
+    EXPECT_EQ(result.mode, "trajectory");
+
+    const dm::DensityMatrix exact = dm::run_with_noise(unitary, c.noise);
+    const double expect = exact.population(0) + exact.population(15);
+    const auto share = [&](const char* label) {
+      const auto it = result.counts.find(label);
+      return it == result.counts.end()
+                 ? 0.0
+                 : static_cast<double>(it->second) / kShots;
+    };
+    const double got = share("0000") + share("1111");
+    const double sigma = std::sqrt(expect * (1.0 - expect) / kShots);
+    EXPECT_NEAR(got, expect, 4.0 * sigma) << c.name;
+  }
+}
+
+TEST(Service, NoiseHookRejectsFusedPlan) {
+  // The executor enforces the rule itself: a per-gate noise hook on a plan
+  // whose gates were merged is an error, not a silently weaker channel.
+  sv::PlanOptions po;
+  po.fusion = true;
+  po.fusion_width = 4;
+  qc::Circuit ghz(4);
+  ghz.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
+  const sv::ExecutionPlan fused = sv::compile_plan(ghz, po);
+  EXPECT_TRUE(fused.fused);
+  sv::StateVector<double> state(4);
+  sv::PlanHooks<double> hooks;
+  hooks.after_gate = [](std::size_t, sv::StateVector<double>&,
+                        const qc::Gate&) {};
+  EXPECT_THROW(sv::run_plan(state, fused, hooks, ExecutionContext::global()),
+               Error);
+
+  sv::keep_gates_for_noise(po, /*gate_noise=*/true);
+  const sv::ExecutionPlan plain = sv::compile_plan(ghz, po);
+  EXPECT_FALSE(plain.fused);
+  EXPECT_NO_THROW(
+      sv::run_plan(state, plain, hooks, ExecutionContext::global()));
 }
 
 // ---- Serve protocol -----------------------------------------------------

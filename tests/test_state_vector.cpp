@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "common/bits.hpp"
@@ -258,6 +260,79 @@ TEST(StateVectorFloat, PrecisionLowerThanDouble) {
   }
   EXPECT_NEAR(svf.norm_squared(), 1.0, 1e-4);
   EXPECT_NEAR(svd.norm_squared(), 1.0, 1e-12);
+}
+
+// ---- the fork rule ---------------------------------------------------------
+
+/// A random normalized state on `pool` (the same amplitudes for a seed).
+StateVector<double> random_state(unsigned n, ThreadPool& pool,
+                                 std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::complex<double>> amps(pow2(n));
+  double norm = 0.0;
+  for (auto& a : amps) {
+    a = {rng.normal(), rng.normal()};
+    norm += std::norm(a);
+  }
+  for (auto& a : amps) a /= std::sqrt(norm);
+  StateVector<double> sv(n, &pool);
+  sv.set_state(amps);
+  return sv;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ForkRule, ReductionsBitIdenticalAcrossPoolSizesAroundCrossover) {
+  // probability_of_one touches half the state and sample() all of it, so
+  // widths crossover-1 .. crossover+1 put each just below and just above
+  // the point where it starts to fork. Pools of 1, 2 and 4 threads must
+  // agree bit for bit on either side: the outcomes of every measurement
+  // and trajectory depend on these sums.
+  const unsigned crossover = ilog2(kForkAmplitudes);
+  ThreadPool one(1), two(2), four(4);
+  for (unsigned n = crossover - 1; n <= crossover + 1; ++n) {
+    const StateVector<double> ref = random_state(n, one, 100 + n);
+    const auto ref_samples = [&] {
+      Xoshiro256 rng(7);
+      return ref.sample(512, rng);
+    }();
+    for (ThreadPool* pool : {&two, &four}) {
+      const unsigned t = pool->num_threads();
+      const StateVector<double> sv = random_state(n, *pool, 100 + n);
+      pool->reset_stats();
+      for (unsigned q : {0u, n / 2, n - 1}) {
+        EXPECT_EQ(bits_of(sv.probability_of_one(q)),
+                  bits_of(ref.probability_of_one(q)))
+            << "n=" << n << " q=" << q << " threads=" << t;
+      }
+      // probability_of_one forks once half the state reaches the crossover.
+      EXPECT_EQ(pool->stats().parallel_regions > 0,
+                pow2(n) / 2 >= kForkAmplitudes)
+          << "n=" << n << " threads=" << t;
+      Xoshiro256 rng(7);
+      EXPECT_EQ(sv.sample(512, rng), ref_samples)
+          << "n=" << n << " threads=" << t;
+    }
+  }
+}
+
+TEST(ForkRule, MeasureBitIdenticalAcrossPoolSizesAroundCrossover) {
+  const unsigned crossover = ilog2(kForkAmplitudes);
+  ThreadPool one(1), two(2), four(4);
+  for (unsigned n = crossover - 1; n <= crossover + 1; ++n) {
+    StateVector<double> ref = random_state(n, one, 200 + n);
+    StateVector<double> a = random_state(n, two, 200 + n);
+    StateVector<double> b = random_state(n, four, 200 + n);
+    Xoshiro256 rng_ref(11), rng_a(11), rng_b(11);
+    for (unsigned q = 0; q < n; q += 3) {
+      const bool outcome = ref.measure(q, rng_ref);
+      EXPECT_EQ(a.measure(q, rng_a), outcome) << "n=" << n << " q=" << q;
+      EXPECT_EQ(b.measure(q, rng_b), outcome) << "n=" << n << " q=" << q;
+    }
+    const std::size_t bytes = ref.size() * sizeof(std::complex<double>);
+    EXPECT_EQ(std::memcmp(ref.data(), a.data(), bytes), 0) << "n=" << n;
+    EXPECT_EQ(std::memcmp(ref.data(), b.data(), bytes), 0) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -63,6 +63,37 @@ TEST(ThreadPool, SmallRangeRunsInline) {
   EXPECT_EQ(worker_seen, 0u);  // ran on the caller
 }
 
+TEST(ThreadPool, ZeroCutoffAlwaysForks) {
+  // The fork/join probe times exactly this call: a zero cutoff forks even a
+  // tiny range, whatever the fork rule says for state regions.
+  ThreadPool pool(2);
+  pool.reset_stats();
+  std::atomic<unsigned> calls{0};
+  pool.parallel_for(
+      64, [&](unsigned, std::uint64_t, std::uint64_t) { calls.fetch_add(1); },
+      /*serial_cutoff=*/0);
+  EXPECT_EQ(pool.stats().parallel_regions, 1u);
+  EXPECT_EQ(pool.stats().inline_regions, 0u);
+  EXPECT_EQ(calls.load(), 2u);  // both workers got a chunk
+}
+
+TEST(ForkRule, CutoffCountsAmplitudesNotItems) {
+  EXPECT_EQ(fork_cutoff(1), kForkAmplitudes);
+  EXPECT_EQ(fork_cutoff(2), kForkAmplitudes / 2);
+  EXPECT_EQ(fork_cutoff(3), (kForkAmplitudes + 2) / 3);  // rounds up
+  // Items as large as the crossover fork from two up: one never forks.
+  EXPECT_EQ(fork_cutoff(kForkAmplitudes), 2u);
+  EXPECT_EQ(fork_cutoff(kForkAmplitudes * 8), 2u);
+
+  ThreadPool pool(2);
+  pool.reset_stats();
+  const auto body = [](unsigned, std::uint64_t, std::uint64_t) {};
+  pool.parallel_for(kForkAmplitudes / 2 - 1, body, fork_cutoff(2));
+  EXPECT_EQ(pool.stats().parallel_regions, 0u);
+  pool.parallel_for(kForkAmplitudes / 2, body, fork_cutoff(2));
+  EXPECT_EQ(pool.stats().parallel_regions, 1u);
+}
+
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool called = false;

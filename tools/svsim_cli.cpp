@@ -217,8 +217,12 @@ machine::ExecConfig exec_config_from_args(const Args& args) {
   machine::ExecConfig cfg;
   if (args.flag("threads"))
     cfg.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
-  if (args.get("affinity", "compact") == "scatter")
+  const std::string affinity = args.get("affinity", "compact");
+  if (affinity == "scatter") {
     cfg.affinity = machine::Affinity::Scatter;
+  } else if (affinity != "compact") {
+    throw Error("unknown affinity '" + affinity + "' (compact, scatter)");
+  }
   cfg.element_bytes = element_bytes_from_args(args);
   return cfg;
 }
